@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for a positive verdict or successful output, 1 for a negative
-verdict, 2 for bad input or a computation that could not be carried out.
+verdict, 2 for bad input, a computation that could not be carried out, or a
+failed internal check.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import automata, encodings, machines, measurement
 from .errors import GMError
@@ -116,13 +116,8 @@ def cmd_compare(args) -> int:
     a = _load_automaton(args.automaton)
     m = encodings.automaton_to_machine(a, psi)
 
-    def row(w):
-        av = automata.co_accepts(a, w)
-        mv = machines.accepts(m, w, psi)
-        return w, av, mv
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(row, _words_upto(args.max_len)))
+    rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w, psi))
+            for w in _words_upto(args.max_len)]
     bad = 0
     print("word automaton machine agree")
     for w, av, mv in rows:
@@ -139,11 +134,8 @@ def cmd_roundtrip(args) -> int:
     m = machines.essentialize(encodings.automaton_to_machine(a, PSIS[args.psi]))
     b = encodings.machine_to_automaton(m, args.mode)
 
-    def row(w):
-        return w, automata.co_accepts(a, w), automata.co_accepts(b, w)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(row, _words_upto(args.max_len)))
+    rows = [(w, automata.co_accepts(a, w), automata.co_accepts(b, w))
+            for w in _words_upto(args.max_len)]
     bad = 0
     print("word original extracted agree")
     for w, av, bv in rows:
@@ -295,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GMError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GMError, ValueError, OSError, AssertionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,11 @@
 
 Nothing here imports from gmachines; every oracle recomputes its answer
 from first principles so the tests compare two genuinely different
-derivations.
+derivations.  The one borrowed piece is cell geometry, which the circuit
+oracle takes from a cell decomposition its caller passes in.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -161,6 +163,46 @@ def brute_plug(fs, gs, cut, max_len):
             if img[1] <= clo or img[0] >= chi:
                 out.append((labels, plo, phi, s, o))
     return out
+
+
+# -- flagged circuits over the full product ----------------------------------
+#
+# Nodes are (cell, state of f, state of g, side to fire) over every dialect
+# state of both sides, pruned nowhere.  A flagged arc lies on a circuit when
+# a breadth-first search from its target gets back to its source.
+
+
+def ref_flagged_circuit(cells, f, g):
+    """Does some alternating circuit of f and g carry a flag?  `cells` is a
+    cell decomposition of [f, g]: source_cells(side, k) and image(side, k,
+    cell) give each edge's arrows."""
+    sides = (f, g)
+    adj = {}
+    flagged = []
+    for side in (0, 1):
+        for k, e in enumerate(sides[side].edges):
+            for cell in cells.source_cells(side, k):
+                dst = cells.image(side, k, cell)
+                for s in range(sides[1 - side].dialect_size):
+                    if side == 0:
+                        u, v = (cell, e.in_state, s, 0), (dst, e.out_state, s, 1)
+                    else:
+                        u, v = (cell, s, e.in_state, 1), (dst, s, e.out_state, 0)
+                    adj.setdefault(u, []).append(v)
+                    if e.weight.flag:
+                        flagged.append((u, v))
+    for u, v in flagged:
+        seen = {v}
+        queue = deque([v])
+        while queue:
+            x = queue.popleft()
+            if x == u:
+                return True
+            for y in adj.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return False
 
 
 # -- measure of a union of boxes --------------------------------------------

@@ -48,6 +48,25 @@ def test_decide_flag_spelling(capsys):
     assert doc == {"word": "11", "verdict": "pass"}
 
 
+def test_decide_zeros_ones_under_default_budget(capsys, monkeypatch):
+    monkeypatch.delenv("GM_MAX_PATH_LEN", raising=False)
+    assert run(capsys, "decide", "zeros-ones", "00001111") == (0, "pass\n", "")
+    assert run(capsys, "decide", "zeros-ones",
+               "0" * 12 + "1" * 12) == (0, "pass\n", "")
+    assert run(capsys, "decide", "zeros-ones",
+               "000000111011") == (1, "fail\n", "")
+
+
+def test_internal_error_exits_two(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("pair state out of range")
+
+    monkeypatch.setattr(cli, "cmd_decide", broken)
+    code, out, err = run(capsys, "decide", "parity", "11")
+    assert (code, out) == (2, "")
+    assert err == "error: AssertionError: pair state out of range\n"
+
+
 def test_decide_empty_word(capsys):
     assert run(capsys, "decide", "parity", "")[0] == 0
 

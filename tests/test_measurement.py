@@ -7,6 +7,8 @@ import pytest
 
 from gmachines.automata import parity_automaton
 from gmachines.encodings import automaton_to_machine
+from gmachines.errors import IterationCapExceeded
+from gmachines.execution import cell_decompose
 from gmachines.graphings import (Edge, GraphingRep, Project, Weight,
                                  rename_dialect)
 from gmachines.machines import compute
@@ -18,6 +20,7 @@ from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
 from conftest import line_edge, random_rigid_pair, seg
+from oracles import ref_flagged_circuit
 
 
 def _loop(a=1, flag=1, shifts=None, block=(0, 1)):
@@ -119,6 +122,37 @@ def test_decide_against_test_matches_acceptance():
     m = automaton_to_machine(parity_automaton())
     assert decide_against_test(compute(m, "11")) == "pass"
     assert decide_against_test(compute(m, "1")) == "fail"
+
+
+def test_cap_reaches_the_circuit_search(monkeypatch):
+    m = automaton_to_machine(parity_automaton())
+    p = compute(m, "1")
+    with pytest.raises(IterationCapExceeded):
+        decide_against_test(p, cap=1)
+    with pytest.raises(IterationCapExceeded):
+        orthogonal(p, t_minus().project(), cap=1)
+    # an explicit cap overrides the environment's
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "1")
+    assert decide_against_test(p, cap=10**6) == "fail"
+
+
+def test_exact_search_matches_unpruned_reference():
+    rng = random.Random(1609)
+    verdicts = {True: 0, False: 0}
+    one_way_states = 0
+    for i in range(300):
+        f, g = random_rigid_pair(rng, edges_each=(4, 6, 8)[i % 3], dialect=3,
+                                 flag_rate=(0.2, 0.3, 0.4, 0.5, 0.6)[i % 5])
+        ref = ref_flagged_circuit(cell_decompose([f, g]), f, g)
+        assert (measure_graphings(f, g) is INF) == ref, i
+        verdicts[ref] += 1
+        one_way_states += any(
+            {e.in_state for e in h.edges} != {e.out_state for e in h.edges}
+            for h in (f, g))
+    # both verdicts occur, and most pairs have a state that is only
+    # entered or only left, which the search never carries
+    assert min(verdicts.values()) >= 40, verdicts
+    assert one_way_states >= 150, one_way_states
 
 
 def test_symmetry_on_random_instances():
