@@ -25,7 +25,7 @@ from math import factorial
 from .automata import (HALTING, IN, MARKER, MultiheadAutomaton, OUT,
                        Transition, successors)
 from .errors import MalformedHalt, NotEssential
-from .execution import cell_decompose
+from .execution import FREE, cell_decompose, walk_counts
 from .graphings import Edge, GraphingRep, ONE
 from .machines import Machine
 from .microcosm import Perm, TransformationDescriptor
@@ -347,38 +347,6 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
 # runs against paths
 
 
-def _root_path_counts(cg, n_machine_edges: int, root, max_len: int) -> dict[int, int]:
-    """Count alternating paths by length, machine side first, starting at
-    the given cell.
-
-    Edges move cells onto cells, so a path is determined by its edge label
-    sequence and the walk it drives from the start cell; sequences that
-    reach the same cell and chain state share their whole future and the
-    frontier can merge them.
-    """
-    counts: dict[int, int] = {}
-    frontier: dict = {}
-    for k in range(n_machine_edges):
-        if not cg.applicable(0, k, root):
-            continue
-        key = (cg.image(0, k, root), cg.edge(0, k).out_state, 0, 1)
-        frontier[key] = frontier.get(key, 0) + 1
-    length = 1
-    while frontier and length <= max_len:
-        counts[length] = sum(frontier.values())
-        nxt: dict = {}
-        for (cell, sf, sg, turn), c in frontier.items():
-            state = sf if turn == 0 else sg
-            for k in cg.edges_from(turn, state, cell):
-                out = cg.edge(turn, k).out_state
-                img = cg.image(turn, k, cell)
-                key = (img, out, sg, 1) if turn == 0 else (img, sf, out, 0)
-                nxt[key] = nxt.get(key, 0) + c
-        frontier = nxt
-        length += 1
-    return counts
-
-
 def _run_label(tr) -> str:
     return "->".join([tr[0].state] + [t.next for t in tr])
 
@@ -470,7 +438,9 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
                 continue
             seen[path] = tr
             mapped[len(tr)] = mapped.get(len(tr), 0) + 1
-        by_len = _root_path_counts(cg, len(g.edges), root, 2 * max_steps - 1)
+        # the machine side fires first, from the root
+        seeds = (node for _k, _e, node in cg.successors((root, FREE, 0)))
+        by_len = walk_counts(cg, seeds, 2 * max_steps - 1)
         paths = {(ln + 1) // 2: c for ln, c in by_len.items() if ln % 2}
         for i in range(1, max_steps + 1):
             if paths.get(i, 0) != mapped.get(i, 0):

@@ -7,6 +7,17 @@ shifts on grid lines, coordinate permutations within a bound.  Rigid maps
 send grid cells to grid cells, so paths become walks on a finite graph of
 cells and plugging terminates by state deduplication.
 
+The cell engine is one walk on a finite product graph.  A node is (cell,
+dialect pair, side to fire); the pair holds, per side, the in-state of
+that side's first edge and its current out-state, both None while the
+side has not fired.  `_chain` fires an edge on the pair, and is also the
+exact engine's dialect bookkeeping.  `CellGraph.seeds` fires every arrow
+from the free pair; `CellGraph.successors` lets the side whose turn it is
+fire an edge chaining at its out-state, or any edge while it is still
+free.  Plugging is a search over this graph, `walk_counts` counts its
+walks, and the circuit listing in the measurement module is a
+depth-first search over it.
+
 Plugging two graphings along a cut region composes every alternating path
 that starts outside the cut, travels inside it, and exits; the composite
 becomes a single edge of the result.  The dialect of the result is the
@@ -46,6 +57,7 @@ __all__ = [
     "rigidity",
     "expansion_cap",
     "cell_path_counts",
+    "walk_counts",
 ]
 
 DEFAULT_CAP = 10_000
@@ -96,6 +108,21 @@ def rigidity(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> tuple[int
 
 
 Cell = tuple[int, tuple[int, ...]]
+# dialect pair before either side fires: (first in-state, out-state) per side
+FREE = ((None, None), (None, None))
+
+
+def _chain(st, side: int, e: Edge):
+    """Fire edge e of one side on a dialect pair: the new pair, or None
+    when e does not chain at that side's current out-state."""
+    first, out = st[side]
+    if out is None:
+        now = (e.in_state, e.out_state)
+    elif out == e.in_state:
+        now = (first, e.out_state)
+    else:
+        return None
+    return (now, st[1]) if side == 0 else (st[0], now)
 
 
 class CellGraph:
@@ -104,7 +131,8 @@ class CellGraph:
     A cell is a unit line block crossed with a grid cube; every edge of
     every graphing maps cells onto cells.  Arrows are computed on demand:
     the graph object only stores, per edge, which cells its source covers
-    and how the map moves a cube.
+    and how the map moves a cube.  Arrows are indexed by side, block and
+    in-state, and under in-state None for a side that may bind any.
     """
 
     def __init__(self, gs: Sequence[GraphingRep], grid: int, bound: int):
@@ -120,7 +148,8 @@ class CellGraph:
                 info = self._prepare(side, k, e)
                 self._edge_info[(side, k)] = info
                 for blk in info["blocks"]:
-                    self._index.setdefault((side, e.in_state, blk), []).append(k)
+                    for state in (e.in_state, None):
+                        self._index.setdefault((side, state, blk), []).append(k)
 
     def _prepare(self, side: int, k: int, e: Edge) -> dict:
         d = e.mapd
@@ -235,13 +264,32 @@ class CellGraph:
             moved[idx - 1] = (moved[idx - 1] + step) % self.n
         return (blk + info["offset"], tuple(moved))
 
-    def edges_from(self, side: int, state: int, cell: Cell) -> list[int]:
+    def edges_from(self, side: int, state: int | None, cell: Cell) -> list[int]:
+        """Edges of a side firing at a cell from a dialect state, in order;
+        state None admits every in-state."""
         blk, _ = cell
         out = []
         for k in self._index.get((side, state, blk), ()):
             if self.applicable(side, k, cell):
                 out.append(k)
         return out
+
+    def seeds(self, skip: frozenset = frozenset()):
+        """Every arrow fired from the free pair at a source cell outside
+        skip, as (side, k, cell, node)."""
+        for side, g in enumerate(self.gs):
+            for k, e in enumerate(g.edges):
+                st = _chain(FREE, side, e)
+                for cell in self.source_cells(side, k):
+                    if cell not in skip:
+                        yield side, k, cell, (self.image(side, k, cell), st, 1 - side)
+
+    def successors(self, node):
+        """Arrows leaving a product node, as (k, edge, next node)."""
+        cell, st, turn = node
+        for k in self.edges_from(turn, st[turn][1], cell):
+            e = self.gs[turn].edges[k]
+            yield k, e, (self.image(turn, k, cell), _chain(st, turn, e), 1 - turn)
 
     def all_arrows(self) -> list[tuple[int, int, Cell, Cell]]:
         out = []
@@ -299,16 +347,6 @@ class RestrictedEdge:
     weight: Weight
 
 
-def _chain(states: tuple[int | None, int | None], side: int, e: Edge):
-    """Dialect bookkeeping: (first-in, current-out) per side, or None."""
-    first, out = states
-    if out is None:
-        return (e.in_state, e.out_state), True
-    if out != e.in_state:
-        return states, False
-    return (first, e.out_state), True
-
-
 def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None,
                       cap: int | None = None) -> list[AlternatingPath]:
     """Every alternating path of positive measure, shortest first.
@@ -325,8 +363,7 @@ def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None
         for e in pairs[side].edges:
             if e.source.is_empty():
                 continue
-            queue.append((e.source, None, side, e, ((None, None), (None, None)),
-                          IDENTITY, ONE, (), ()))
+            queue.append((e.source, None, side, e, FREE, IDENTITY, ONE, (), ()))
     fires = 0
     while queue:
         src, cur, side, e, states, desc, weight, sides, edges = queue.popleft()
@@ -345,10 +382,9 @@ def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None
             new_src = piece
         else:
             new_src = desc.inverse().apply_mset(piece)
-        new_states, ok = _chain(states[side], side, e)
-        if not ok:
+        st = _chain(states, side, e)
+        if st is None:
             continue
-        st = (new_states, states[1]) if side == 0 else (states[0], new_states)
         new_desc = e.mapd.compose(desc)
         new_weight = weight * e.weight
         new_cur = e.mapd.apply_mset(piece)
@@ -384,8 +420,9 @@ def restrict_path(path: AlternatingPath, cut: MSet) -> RestrictedEdge | None:
     return RestrictedEdge(src, path.in_pair, path.out_pair, path.composed, path.weight)
 
 
-def _pair_state(in_f, out_f, in_g, out_g, df_size, dg_size):
+def _pair_state(st, df_size, dg_size):
     """Resolve free sides and rename the product dialect to an initial segment."""
+    (in_f, out_f), (in_g, out_g) = st
     if in_f is None and in_g is None:
         raise AssertionError("a path must engage at least one side")
     if in_f is None:
@@ -407,89 +444,50 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
             "graphings overlap outside the cut region")
 
 
-def _plug_cells(f, g, cut, cap, max_len):
-    cg = cell_decompose([f, g], extra=[cut])
+def _plug_cells(cg: CellGraph, cut, cap, max_len):
+    """Breadth-first search of the product graph from every seed outside
+    the cut; a walk becomes a composite edge where it leaves the cut."""
+    f, g = cg.gs
     cutcells = cg.mset_cells(cut, "cut")
-    pairs = (f, g)
     results: dict = {}
     budget = expansion_cap(cap)
     fires = 0
+    truncated = False
     queue: deque = deque()
     seen: set = set()
 
-    def handle(start, cell, st, side, k):
+    def reach(start, node, desc, weight, length):
         nonlocal fires
-        e = cg.edge(side, k)
-        new_states, ok = _chain(st[side], side, e)
-        if not ok:
-            return
         fires += 1
         if fires > budget:
             raise NonTerminating(
                 f"plug exceeded the budget of {budget} cell-arrow expansions")
-        stt = (new_states, st[1]) if side == 0 else (st[0], new_states)
-        dst = cg.image(side, k, cell)
-        return stt, dst
-
-    # seeds: fire any edge from a cell outside the cut
-    for side in (0, 1):
-        for k, _e in enumerate(pairs[side].edges):
-            for cell in cg.source_cells(side, k):
-                if cell in cutcells:
-                    continue
-                fired = handle(cell, cell, ((None, None), (None, None)), side, k)
-                if fired is None:
-                    continue
-                stt, dst = fired
-                e = cg.edge(side, k)
-                entry = (cell, dst, stt, side, e.mapd, e.weight, 1)
-                key = entry[:6]
-                if key in seen:
-                    continue
-                seen.add(key)
-                if dst not in cutcells:
-                    results[(cell, stt, e.mapd.key(), e.weight.a, e.weight.flag)] = \
-                        (cell, stt, e.mapd, e.weight)
-                else:
-                    queue.append(entry)
-
-    while queue:
-        start, cell, st, side, desc, weight, length = queue.popleft()
-        if max_len is not None and length >= max_len:
-            continue
-        other = 1 - side
-        # a side not yet engaged may bind any in-state
-        if st[other][1] is None:
-            candidates = [k for k, e in enumerate(pairs[other].edges)
-                          if cg.applicable(other, k, cell)]
+        key = (start, node, desc, weight)
+        if key in seen:
+            return
+        seen.add(key)
+        if node[0] in cutcells:
+            queue.append(key + (length,))
         else:
-            candidates = cg.edges_from(other, st[other][1], cell)
-        for k in candidates:
-            fired = handle(start, cell, st, other, k)
-            if fired is None:
-                continue
-            stt, dst = fired
-            e = cg.edge(other, k)
-            new_desc = e.mapd.compose(desc)
-            new_weight = weight * e.weight
-            entry = (start, dst, stt, other, new_desc, new_weight, length + 1)
-            key = entry[:6]
-            if key in seen:
-                continue
-            seen.add(key)
-            if dst not in cutcells:
-                results[(start, stt, new_desc.key(), new_weight.a, new_weight.flag)] = \
-                    (start, stt, new_desc, new_weight)
-            else:
-                queue.append(entry)
+            results[(start, node[1], desc.key(), weight.a, weight.flag)] = \
+                (start, node[1], desc, weight)
+
+    for side, k, cell, node in cg.seeds(cutcells):
+        e = cg.edge(side, k)
+        reach(cell, node, e.mapd, e.weight, 1)
+    while queue:
+        start, node, desc, weight, length = queue.popleft()
+        if max_len is not None and length >= max_len:
+            truncated = True
+            continue
+        for _k, e, nxt in cg.successors(node):
+            reach(start, nxt, e.mapd.compose(desc), weight * e.weight, length + 1)
 
     edges = []
     for start, stt, desc, weight in results.values():
-        (in_f, out_f), (in_g, out_g) = stt
-        for in_state, out_state in _pair_state(in_f, out_f, in_g, out_g,
-                                               f.dialect_size, g.dialect_size):
+        for in_state, out_state in _pair_state(stt, f.dialect_size, g.dialect_size):
             edges.append(Edge(cg.cell_mset(start), in_state, out_state, desc, weight))
-    return edges, False
+    return edges, truncated
 
 
 def _plug_general(f, g, cut, cap, max_len):
@@ -502,8 +500,7 @@ def _plug_general(f, g, cut, cap, max_len):
             src0 = e.source.difference(cut)
             if src0.measure() == 0:
                 continue
-            queue.append((src0, None, side, e, ((None, None), (None, None)),
-                          IDENTITY, ONE, 0))
+            queue.append((src0, None, side, e, FREE, IDENTITY, ONE, 0))
     fires = 0
     truncated = False
     while queue:
@@ -517,10 +514,9 @@ def _plug_general(f, g, cut, cap, max_len):
         piece = src if cur is None else cur.intersect(e.source)
         if piece.is_empty():
             continue
-        new_states, ok = _chain(st[side], side, e)
-        if not ok:
+        stt = _chain(st, side, e)
+        if stt is None:
             continue
-        stt = (new_states, st[1]) if side == 0 else (st[0], new_states)
         new_src = piece if cur is None else desc.inverse().apply_mset(piece)
         new_desc = e.mapd.compose(desc)
         new_weight = weight * e.weight
@@ -539,9 +535,7 @@ def _plug_general(f, g, cut, cap, max_len):
                               new_weight, length + 1))
     edges = []
     for kept_src, stt, desc, weight in results.values():
-        (in_f, out_f), (in_g, out_g) = stt
-        for in_state, out_state in _pair_state(in_f, out_f, in_g, out_g,
-                                               f.dialect_size, g.dialect_size):
+        for in_state, out_state in _pair_state(stt, f.dialect_size, g.dialect_size):
             edges.append(Edge(kept_src, in_state, out_state, desc, weight))
     return edges, truncated
 
@@ -557,7 +551,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: MSet, *, max_len: int | None = Non
     _check_supports(f, g, cut)
     rigid = None if force_general else rigidity([f, g], [cut])
     if rigid is not None:
-        edges, truncated = _plug_cells(f, g, cut, cap, max_len)
+        edges, truncated = _plug_cells(CellGraph([f, g], *rigid), cut, cap, max_len)
     else:
         edges, truncated = _plug_general(f, g, cut, cap, max_len)
         if edges is None:
@@ -595,31 +589,33 @@ def plug_projects(p: Project, q: Project, cut: MSet) -> Project:
     return Project(wrapper + cross, terms)
 
 
+def walk_counts(cg: CellGraph, seeds: Iterable, max_len: int) -> dict[int, int]:
+    """Number of product walks per length up to max_len, one walk per
+    seed node (the node its first arrow reaches).
+
+    A walk is fixed by its start cell and label sequence, and walks that
+    meet at a node share their whole future, so the frontier merges them.
+    """
+    frontier: dict = {}
+    for node in seeds:
+        frontier[node] = frontier.get(node, 0) + 1
+    counts: dict[int, int] = {}
+    for length in range(1, max_len + 1):
+        if not frontier:
+            break
+        counts[length] = sum(frontier.values())
+        if length < max_len:
+            nxt: dict = {}
+            for node, c in frontier.items():
+                for _k, _e, succ in cg.successors(node):
+                    nxt[succ] = nxt.get(succ, 0) + c
+            frontier = nxt
+    return counts
+
+
 def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int,
                      grid: int | None = None) -> dict[int, int]:
     """Number of cell-level alternating walks per length; the cell shadow
     of alternating_paths for rigid inputs."""
     cg = cell_decompose([f, g], grid)
-    pairs = (f, g)
-    counts: dict[int, int] = {}
-    queue: deque = deque()
-    for side in (0, 1):
-        for k, _ in enumerate(pairs[side].edges):
-            for cell in cg.source_cells(side, k):
-                queue.append((cell, ((None, None), (None, None)), side, k, 1))
-    while queue:
-        cell, st, side, k, length = queue.popleft()
-        e = cg.edge(side, k)
-        new_states, ok = _chain(st[side], side, e)
-        if not ok:
-            continue
-        stt = (new_states, st[1]) if side == 0 else (st[0], new_states)
-        dst = cg.image(side, k, cell)
-        counts[length] = counts.get(length, 0) + 1
-        if length >= max_len:
-            continue
-        other = 1 - side
-        for k2, _ in enumerate(pairs[other].edges):
-            if cg.applicable(other, k2, dst):
-                queue.append((dst, stt, other, k2, length + 1))
-    return counts
+    return walk_counts(cg, (node for *_, node in cg.seeds()), max_len)

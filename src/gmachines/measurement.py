@@ -59,40 +59,7 @@ INF = _Inf()
 
 
 # ---------------------------------------------------------------------------
-# walking the product of two graphings at cell level
-
-def _walk_states(cg: CellGraph, f: GraphingRep, g: GraphingRep):
-    """Seed states: every arrow fired once, with free other side."""
-    pairs = (f, g)
-    for side in (0, 1):
-        for k, e in enumerate(pairs[side].edges):
-            for cell in cg.source_cells(side, k):
-                first = (e.in_state, e.out_state)
-                ff, of = (first if side == 0 else (None, None))
-                fg, og = (first if side == 1 else (None, None))
-                dst = cg.image(side, k, cell)
-                yield (side, k, cell, dst, ff, of, fg, og, e.weight.flag)
-
-
-def _successors(cg: CellGraph, f: GraphingRep, g: GraphingRep, state):
-    cell, ff, of, fg, og, turn = state
-    pairs = (f, g)
-    current = of if turn == 0 else og
-    if current is None:
-        candidates = [k for k, _ in enumerate(pairs[turn].edges)
-                      if cg.applicable(turn, k, cell)]
-    else:
-        candidates = cg.edges_from(turn, current, cell)
-    for k in candidates:
-        e = cg.edge(turn, k)
-        dst = cg.image(turn, k, cell)
-        if turn == 0:
-            nf, nof = (ff, e.out_state) if ff is not None else (e.in_state, e.out_state)
-            yield k, e, (dst, nf, nof, fg, og, 1)
-        else:
-            ng, nog = (fg, e.out_state) if fg is not None else (e.in_state, e.out_state)
-            yield k, e, (dst, ff, of, ng, nog, 0)
-
+# the exact circuit search
 
 def _live_states(g: GraphingRep) -> list[int]:
     """Dialect states that some arrow enters and some arrow leaves."""
@@ -225,30 +192,6 @@ def _is_power(labels: tuple) -> bool:
     return False
 
 
-def _chain_ok(labels, f, g) -> tuple | None:
-    """Cyclic dialect consistency of a label sequence; returns the anchor
-    (first-in states per side) or None."""
-    pairs = (f, g)
-    ff = of = fg = og = None
-    for side, k in labels:
-        e = pairs[side].edges[k]
-        if side == 0:
-            if of is not None and of != e.in_state:
-                return None
-            if ff is None:
-                ff = e.in_state
-            of = e.out_state
-        else:
-            if og is not None and og != e.in_state:
-                return None
-            if fg is None:
-                fg = e.in_state
-            og = e.out_state
-    if ff is None or fg is None or of != ff or og != fg:
-        return None
-    return (ff, fg)
-
-
 def _walk_cells(cg: CellGraph, labels, cell: Cell) -> Cell | None:
     for side, k in labels:
         if not cg.applicable(side, k, cell):
@@ -319,15 +262,14 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     found: dict[tuple, None] = {}
     steps = 0
     # depth-first over label sequences with a witness cell
-    stack: list[tuple] = []
-    for side, k, cell, dst, ff, of, fg, og, _fl in _walk_states(cg, f, g):
-        stack.append((((side, k),), dst, ff, of, fg, og, 1 - side, side))
+    stack = [(((side, k),), node, side) for side, k, _cell, node in cg.seeds()]
     while stack:
-        labels, cell, ff, of, fg, og, turn, seed_side = stack.pop()
+        labels, node, seed_side = stack.pop()
         steps += 1
         if steps > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
+        _cell, ((ff, of), (fg, og)), turn = node
         if (turn == seed_side and of == ff and og == fg
                 and ff is not None and fg is not None):
             canon = _canonical_rotation(labels)
@@ -335,23 +277,17 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
                 found.setdefault(canon)
         if len(labels) >= max_len:
             continue
-        for k, e, nxt in _successors(cg, f, g, (cell, ff, of, fg, og, turn)):
-            ncell, nff, nof, nfg, nog, nturn = nxt
-            stack.append((labels + ((turn, k),), ncell, nff, nof, nfg, nog,
-                          nturn, seed_side))
+        for k, _e, nxt in cg.successors(node):
+            stack.append((labels + ((turn, k),), nxt, seed_side))
     out = []
     for canon in sorted(found):
-        anchor = _chain_ok(canon, f, g)
-        if anchor is None:
-            continue
-        # orbit data comes from the first rotation with live starts;
-        # closed orbits are the same for every live rotation
+        # the search closed a consistent dialect cycle, so every rotation
+        # chains; orbit data comes from the first rotation with live
+        # starts, and closed orbits are the same for every live rotation
         orbits: tuple[Orbit, ...] = ()
         chosen = canon
         for i in range(len(canon)):
             rot = canon[i:] + canon[:i]
-            if _chain_ok(rot, f, g) is None:
-                continue
             orbs = _orbits(cg, rot)
             if orbs:
                 chosen, orbits = rot, orbs

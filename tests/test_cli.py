@@ -196,6 +196,25 @@ def test_paths_and_exec_and_measure(capsys, tmp_path, conveyor, doubler):
     assert "INF" in out
 
 
+def test_exec_refuses_to_truncate_a_rigid_pair(capsys, tmp_path):
+    # a rigid pair cut short by --max-len is an error, not a partial result
+    from gmachines.words import DEFAULT_PSI, representation
+    machine = tmp_path / "parity.json"
+    word = tmp_path / "word.json"
+    machine.write_text(json.dumps(
+        automaton_to_machine(parity_automaton()).graphing.to_json()))
+    word.write_text(json.dumps(representation("0110").to_json()))
+    interface = json.dumps(DEFAULT_PSI.interface_mset().to_json())
+    code, _, err = run(capsys, "exec", str(machine), str(word),
+                       "--cut", interface, "--max-len", "8")
+    assert code == 2
+    assert "NonTerminating" in err
+    code, out, _ = run(capsys, "exec", str(machine), str(word),
+                       "--cut", interface)
+    assert code == 0
+    assert len(json.loads(out)["edges"]) == 2
+
+
 def test_psi_flag_changes_nothing_observable(capsys):
     base = run(capsys, "decide", "parity", "110")
     alt = run(capsys, "decide", "parity", "110", "--psi", "shifted")

@@ -6,13 +6,15 @@ import random
 
 import pytest
 
+from gmachines.automata import parity_automaton
+from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
-from gmachines.execution import (alternating_paths, cell_decompose,
+from gmachines.execution import (FREE, alternating_paths, cell_decompose,
                                  cell_path_counts, expansion_cap, plug,
                                  restrict_path)
 from gmachines.graphings import GraphingRep, equivalent
 from gmachines.space import equal_ae, measure
-from gmachines.words import word_graphing
+from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
 from conftest import line_edge, random_rigid_pair, seg
 from oracles import brute_paths, brute_plug
@@ -140,6 +142,18 @@ def test_plug_with_empty_partner(seesaw):
             assert box.line.hi <= 1 or box.line.lo >= 2
 
 
+def test_rigid_plug_refuses_to_truncate_silently():
+    m = automaton_to_machine(parity_automaton())
+    rep = representation("0110")
+    cut = DEFAULT_PSI.interface_mset()
+    assert len(plug(m.graphing, rep, cut).edges) == 2
+    for max_len in range(1, 9):
+        with pytest.raises(NonTerminating):
+            plug(m.graphing, rep, cut, max_len=max_len)
+        cropped = plug(m.graphing, rep, cut, max_len=max_len, allow_truncation=True)
+        assert not cropped.edges
+
+
 def test_cell_decompose_requires_rigidity(conveyor, doubler):
     with pytest.raises(NotCellRigid):
         cell_decompose([conveyor, doubler])
@@ -156,6 +170,32 @@ def test_cell_decompose_word_graphing():
             assert cg.applicable(0, j, c)
             img = cg.image(0, j, c)
             assert img != c or e.mapd.is_identity()
+
+
+def test_any_state_index_and_successors_chain():
+    rng = random.Random(23)
+    for _ in range(20):
+        f, g = random_rigid_pair(rng, dialect=3)
+        cg = cell_decompose([f, g])
+        cells = sorted({cell for _side, _k, cell, _dst in cg.all_arrows()})
+        idle = (1, 2)
+        for side, h in enumerate((f, g)):
+            for cell in cells:
+                live = [k for k in range(len(h.edges)) if cg.applicable(side, k, cell)]
+                assert cg.edges_from(side, None, cell) == live
+                free = [(k, e) for k, e, _ in cg.successors((cell, FREE, side))]
+                assert free == [(k, h.edges[k]) for k in live]
+                for state in range(h.dialect_size):
+                    now = ((state + 1) % h.dialect_size, state)
+                    st = (now, idle) if side == 0 else (idle, now)
+                    arrows = list(cg.successors((cell, st, side)))
+                    assert [k for k, _, _ in arrows] == \
+                        [k for k in live if h.edges[k].in_state == state]
+                    for k, e, (dst, nst, turn) in arrows:
+                        assert e is h.edges[k] and e.in_state == state
+                        assert dst == cg.image(side, k, cell) and turn == 1 - side
+                        assert nst[side] == (now[0], e.out_state)
+                        assert nst[1 - side] == idle
 
 
 def test_cell_counts_refine_path_census():
