@@ -1,10 +1,14 @@
 """Running graphings against each other.
 
 Two engines live here.  The exact engine enumerates alternating paths as
-shrinking rational sets and works for any maps.  The cell engine applies
-when every map is rigid at some grid: slope one, integer offsets, circle
-shifts on grid lines, coordinate permutations within a bound.  Rigid maps
-send grid cells to grid cells, so paths become walks on a finite graph of
+shrinking rational sets and works for any maps; it is one breadth-first
+walk, `_exact_walk`, that path listing runs without a cut and general
+plugging runs from outside a cut.  The cell engine applies when every map
+is rigid at some grid: slope one, integer offsets, circle shifts on grid
+lines, coordinate permutations within a bound.  Rigidity is read once, by
+`cell_decompose`, which infers the grid and bound or raises NotCellRigid;
+`plug` takes the cell route exactly when that succeeds.  Rigid maps send
+grid cells to grid cells, so paths become walks on a finite graph of
 cells and plugging terminates by state deduplication.
 
 The cell engine is one walk on a finite product graph.  A node is (cell,
@@ -28,7 +32,7 @@ one side is replicated over that side's states.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -54,7 +58,6 @@ __all__ = [
     "restrict_path",
     "plug",
     "plug_projects",
-    "rigidity",
     "expansion_cap",
     "cell_path_counts",
     "walk_counts",
@@ -75,36 +78,6 @@ def expansion_cap(override: int | None = None) -> int:
         except ValueError:
             pass
     return DEFAULT_CAP
-
-
-def rigidity(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> tuple[int, int] | None:
-    """Grid size and coordinate bound making everything rigid, or None."""
-    denom = 1
-    bound = 0
-    for g in gs:
-        for e in g.edges:
-            d = e.mapd
-            if d.slope != 1 or d.offset.denominator != 1:
-                return None
-            for idx, lam in d.shifts:
-                denom = lcm(denom, lam.denominator)
-                bound = max(bound, idx)
-            for idx in d.perm.support():
-                bound = max(bound, idx)
-            for b in e.source.boxes:
-                if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
-                    return None
-                for idx, iv in b.coords:
-                    denom = lcm(denom, iv.lo.denominator, iv.hi.denominator)
-                    bound = max(bound, idx)
-    for m in extra:
-        for b in m.boxes:
-            if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
-                return None
-            for idx, iv in b.coords:
-                denom = lcm(denom, iv.lo.denominator, iv.hi.denominator)
-                bound = max(bound, idx)
-    return denom, bound
 
 
 Cell = tuple[int, tuple[int, ...]]
@@ -133,64 +106,36 @@ class CellGraph:
     the graph object only stores, per edge, which cells its source covers
     and how the map moves a cube.  Arrows are indexed by side, block and
     in-state, and under in-state None for a side that may bind any.
+    Built by `cell_decompose`, which reads the grid and the coordinate
+    bound off the same edges.
     """
 
     def __init__(self, gs: Sequence[GraphingRep], grid: int, bound: int):
         self.gs = list(gs)
-        self.n = int(grid)
-        self.N = int(bound)
-        if self.n < 1:
-            raise ValueError("grid size must be at least 1")
+        self.n = grid
+        self.N = bound
         self._edge_info: dict[tuple[int, int], dict] = {}
         self._index: dict[tuple[int, int, int], list[int]] = {}
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
-                info = self._prepare(side, k, e)
+                info = self._prepare(e)
                 self._edge_info[(side, k)] = info
-                for blk in info["blocks"]:
+                for blk in {b for lo, hi, _ in info["patterns"] for b in range(lo, hi)}:
                     for state in (e.in_state, None):
                         self._index.setdefault((side, state, blk), []).append(k)
 
-    def _prepare(self, side: int, k: int, e: Edge) -> dict:
+    def _prepare(self, e: Edge) -> dict:
         d = e.mapd
-        where = f"graphing {side} edge {k}"
-        if d.slope != 1:
-            raise NotCellRigid(f"{where}: slope {d.slope} is not 1")
-        if d.offset.denominator != 1:
-            raise NotCellRigid(f"{where}: offset {d.offset} is not an integer")
-        shift_steps = {}
-        for idx, lam in d.shifts:
-            step = lam * self.n
-            if step.denominator != 1:
-                raise NotCellRigid(f"{where}: shift {lam} off the 1/{self.n} grid")
-            if idx > self.N:
-                raise NotCellRigid(f"{where}: shift coordinate {idx} beyond bound {self.N}")
-            shift_steps[idx] = int(step)
-        for idx in d.perm.support():
-            if idx > self.N:
-                raise NotCellRigid(f"{where}: permuted coordinate {idx} beyond bound {self.N}")
         patterns = []
-        blocks = set()
         for b in e.source.boxes:
-            if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
-                raise NotCellRigid(f"{where}: source block [{b.line.lo},{b.line.hi}) not integral")
-            ranges = {}
-            for idx, iv in b.coords:
-                lo, hi = iv.lo * self.n, iv.hi * self.n
-                if lo.denominator != 1 or hi.denominator != 1:
-                    raise NotCellRigid(f"{where}: source coordinate {idx} off the grid")
-                if idx > self.N:
-                    raise NotCellRigid(f"{where}: source coordinate {idx} beyond bound {self.N}")
-                ranges[idx] = (int(lo), int(hi))
+            ranges = {idx: (int(iv.lo * self.n), int(iv.hi * self.n))
+                      for idx, iv in b.coords}
             patterns.append((int(b.line.lo), int(b.line.hi), ranges))
-            blocks.update(range(int(b.line.lo), int(b.line.hi)))
         return {
-            "edge": e,
             "offset": int(d.offset),
             "perm": d.perm,
-            "shifts": shift_steps,
+            "shifts": {idx: int(lam * self.n) for idx, lam in d.shifts},
             "patterns": patterns,
-            "blocks": blocks,
         }
 
     # -- geometry of cells -------------------------------------------------
@@ -229,11 +174,14 @@ class CellGraph:
 
     # -- arrows ------------------------------------------------------------
 
-    def source_cells(self, side: int, k: int) -> Iterable[Cell]:
+    def source_cells(self, side: int, k: int, omit=()) -> Iterable[Cell]:
+        """Cells of an edge's source in order, outside the blocks in omit."""
         info = self._edge_info[(side, k)]
         for lo, hi, ranges in info["patterns"]:
             dims = [range(*ranges.get(c, (0, self.n))) for c in range(1, self.N + 1)]
             for blk in range(lo, hi):
+                if blk in omit:
+                    continue
                 for cube in iproduct(*dims):
                     yield (blk, cube)
 
@@ -276,11 +224,14 @@ class CellGraph:
 
     def seeds(self, skip: frozenset = frozenset()):
         """Every arrow fired from the free pair at a source cell outside
-        skip, as (side, k, cell, node)."""
+        skip, as (side, k, cell, node).  Blocks lying wholly in skip are
+        passed over without listing their cells."""
+        per_block = Counter(blk for blk, _ in skip)
+        full = {blk for blk, c in per_block.items() if c == self.n ** self.N}
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
                 st = _chain(FREE, side, e)
-                for cell in self.source_cells(side, k):
+                for cell in self.source_cells(side, k, full):
                     if cell not in skip:
                         yield side, k, cell, (self.image(side, k, cell), st, 1 - side)
 
@@ -302,17 +253,28 @@ class CellGraph:
         return self.gs[side].edges[k]
 
 
-def cell_decompose(gs: Sequence[GraphingRep], grid: int | None = None,
-                   extra: Sequence[MSet] = ()) -> CellGraph:
-    """Cell structure of the given graphings, inferring the grid if absent."""
-    rig = rigidity(gs, extra)
-    if rig is None:
-        raise NotCellRigid("maps are not rigid: non-unit slope or fractional offset")
-    denom, bound = rig
-    if grid is None:
-        grid = denom
-    elif grid % denom != 0:
-        raise NotCellRigid(f"grid {grid} does not refine the natural grid {denom}")
+def cell_decompose(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> CellGraph:
+    """Cell structure of the given graphings, and of the sets in extra, at
+    the coarsest grid that makes them rigid; NotCellRigid if none does."""
+    grid, bound = 1, 0
+    boxes = [b for m in extra for b in m.boxes]
+    for side, g in enumerate(gs):
+        for k, e in enumerate(g.edges):
+            d = e.mapd
+            if d.slope != 1 or d.offset.denominator != 1:
+                raise NotCellRigid(f"graphing {side} edge {k}: slope {d.slope} "
+                                   f"and offset {d.offset} are not rigid")
+            for idx, lam in d.shifts:
+                grid = lcm(grid, lam.denominator)
+                bound = max(bound, idx)
+            bound = max(bound, max(d.perm.support(), default=0))
+            boxes.extend(e.source.boxes)
+    for b in boxes:
+        if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
+            raise NotCellRigid(f"block [{b.line.lo},{b.line.hi}) is not integral")
+        for idx, iv in b.coords:
+            grid = lcm(grid, iv.lo.denominator, iv.hi.denominator)
+            bound = max(bound, idx)
     return CellGraph(gs, grid, bound)
 
 
@@ -347,6 +309,57 @@ class RestrictedEdge:
     weight: Weight
 
 
+def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
+                max_len: int | None, budget: int):
+    """Breadth-first search of the exact alternating paths of f and g.
+
+    Seeds are the edges' sources, less the cut when there is one.  Every
+    fired edge is recorded as (sides, edges, dialect pair, composed map,
+    weight, image of the piece it fired on); only the image carries on,
+    and with a cut only its part inside the cut.  Returns the records and
+    whether max_len stopped a path that could still go on; raises
+    IterationCapExceeded past the budget of popped expansions.
+    """
+    pairs = (f, g)
+    queue: deque = deque()
+    for side in (0, 1):
+        for e in pairs[side].edges:
+            src = e.source if cut is None else e.source.difference(cut)
+            if not src.is_empty():
+                queue.append((src, side, e, FREE, IDENTITY, ONE, (), ()))
+    steps = []
+    fires = 0
+    truncated = False
+    while queue:
+        carried, side, e, st, desc, weight, sides, edges = queue.popleft()
+        fires += 1
+        if fires > budget:
+            raise IterationCapExceeded(
+                f"alternating paths still alive after {budget} expansions")
+        # a seed carries exactly its edge's source
+        piece = carried.intersect(e.source) if sides else carried
+        if piece.is_empty():
+            continue
+        st = _chain(st, side, e)
+        if st is None:
+            continue
+        desc = e.mapd.compose(desc)
+        weight = weight * e.weight
+        sides, edges = sides + (side,), edges + (e,)
+        img = e.mapd.apply_mset(piece)
+        steps.append((sides, edges, st, desc, weight, img))
+        carry = img if cut is None else img.intersect(cut)
+        nxt = pairs[1 - side].edges
+        if carry.is_empty() or not nxt:
+            continue
+        if max_len is not None and len(edges) >= max_len:
+            truncated = True
+            continue
+        for e2 in nxt:
+            queue.append((carry, 1 - side, e2, st, desc, weight, sides, edges))
+    return steps, truncated
+
+
 def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None,
                       cap: int | None = None) -> list[AlternatingPath]:
     """Every alternating path of positive measure, shortest first.
@@ -354,57 +367,10 @@ def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None
     With max_len given, enumeration stops at that length; without it the
     enumeration must die out on its own within the iteration budget.
     """
-    budget = expansion_cap(cap)
-    pairs = (f, g)
-    out: list[AlternatingPath] = []
-    # queue entries: (src, cur, sides, edges, states_f, states_g, desc, weight)
-    queue: deque = deque()
-    for side in (0, 1):
-        for e in pairs[side].edges:
-            if e.source.is_empty():
-                continue
-            queue.append((e.source, None, side, e, FREE, IDENTITY, ONE, (), ()))
-    fires = 0
-    while queue:
-        src, cur, side, e, states, desc, weight, sides, edges = queue.popleft()
-        fires += 1
-        if fires > budget:
-            if max_len is None:
-                raise IterationCapExceeded(
-                    f"alternating paths still alive after {budget} expansions")
-            raise IterationCapExceeded(
-                f"budget {budget} exhausted below requested length {max_len}")
-        # fire edge e on the carried set
-        piece = src if cur is None else cur.intersect(e.source)
-        if piece.is_empty():
-            continue
-        if cur is None:
-            new_src = piece
-        else:
-            new_src = desc.inverse().apply_mset(piece)
-        st = _chain(states, side, e)
-        if st is None:
-            continue
-        new_desc = e.mapd.compose(desc)
-        new_weight = weight * e.weight
-        new_cur = e.mapd.apply_mset(piece)
-        new_sides = sides + (side,)
-        new_edges = edges + (e,)
-        out.append(AlternatingPath(
-            sides=new_sides,
-            edges=new_edges,
-            source=new_src,
-            composed=new_desc,
-            in_pair=(st[0][0], st[1][0]),
-            out_pair=(st[0][1], st[1][1]),
-            weight=new_weight,
-        ))
-        if max_len is not None and len(new_edges) >= max_len:
-            continue
-        other = 1 - side
-        for e2 in pairs[other].edges:
-            queue.append((new_src, new_cur, other, e2, st, new_desc, new_weight,
-                          new_sides, new_edges))
+    steps, _ = _exact_walk(f, g, None, max_len, expansion_cap(cap))
+    out = [AlternatingPath(sides, edges, desc.inverse().apply_mset(img), desc,
+                           (st[0][0], st[1][0]), (st[0][1], st[1][1]), weight)
+           for sides, edges, st, desc, weight, img in steps]
     out.sort(key=lambda p: (p.length, p.sides))
     return out
 
@@ -447,7 +413,6 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
 def _plug_cells(cg: CellGraph, cut, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
     the cut; a walk becomes a composite edge where it leaves the cut."""
-    f, g = cg.gs
     cutcells = cg.mset_cells(cut, "cut")
     results: dict = {}
     budget = expansion_cap(cap)
@@ -482,85 +447,55 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
             continue
         for _k, e, nxt in cg.successors(node):
             reach(start, nxt, e.mapd.compose(desc), weight * e.weight, length + 1)
-
-    edges = []
-    for start, stt, desc, weight in results.values():
-        for in_state, out_state in _pair_state(stt, f.dialect_size, g.dialect_size):
-            edges.append(Edge(cg.cell_mset(start), in_state, out_state, desc, weight))
-    return edges, truncated
+    return [(cg.cell_mset(start), st, desc, weight)
+            for start, st, desc, weight in results.values()], truncated
 
 
 def _plug_general(f, g, cut, cap, max_len):
+    """The exact walk from outside the cut; the part of each step's image
+    that leaves the cut becomes a composite edge."""
     budget = expansion_cap(cap)
-    pairs = (f, g)
+    try:
+        steps, truncated = _exact_walk(f, g, cut, max_len, budget)
+    except IterationCapExceeded as exc:
+        raise NonTerminating(
+            f"plugging did not close off within {budget} expansions") from exc
     results: dict = {}
-    queue: deque = deque()
-    for side in (0, 1):
-        for e in pairs[side].edges:
-            src0 = e.source.difference(cut)
-            if src0.measure() == 0:
-                continue
-            queue.append((src0, None, side, e, FREE, IDENTITY, ONE, 0))
-    fires = 0
-    truncated = False
-    while queue:
-        src, cur, side, e, st, desc, weight, length = queue.popleft()
-        if max_len is not None and length >= max_len:
-            truncated = True
-            continue
-        fires += 1
-        if fires > budget:
-            return None, True
-        piece = src if cur is None else cur.intersect(e.source)
-        if piece.is_empty():
-            continue
-        stt = _chain(st, side, e)
-        if stt is None:
-            continue
-        new_src = piece if cur is None else desc.inverse().apply_mset(piece)
-        new_desc = e.mapd.compose(desc)
-        new_weight = weight * e.weight
-        img = e.mapd.apply_mset(piece)
+    for _sides, _edges, st, desc, weight, img in steps:
         outside = img.difference(cut)
-        inside = img.intersect(cut)
-        if outside.measure() > 0:
-            kept_src = new_desc.inverse().apply_mset(outside)
-            key = (kept_src.boxes, stt, new_desc.key(), new_weight.a, new_weight.flag)
-            results[key] = (kept_src, stt, new_desc, new_weight)
-        if inside.measure() > 0:
-            carried_src = new_desc.inverse().apply_mset(inside)
-            other = 1 - side
-            for e2 in pairs[other].edges:
-                queue.append((carried_src, inside, other, e2, stt, new_desc,
-                              new_weight, length + 1))
-    edges = []
-    for kept_src, stt, desc, weight in results.values():
-        for in_state, out_state in _pair_state(stt, f.dialect_size, g.dialect_size):
-            edges.append(Edge(kept_src, in_state, out_state, desc, weight))
-    return edges, truncated
+        if not outside.is_empty():
+            src = desc.inverse().apply_mset(outside)
+            results[(src.boxes, st, desc.key(), weight.a, weight.flag)] = \
+                (src, st, desc, weight)
+    return list(results.values()), truncated
 
 
 def plug(f: GraphingRep, g: GraphingRep, cut: MSet, *, max_len: int | None = None,
-         cap: int | None = None, allow_truncation: bool = False,
-         force_general: bool = False) -> GraphingRep:
+         cap: int | None = None, allow_truncation: bool = False) -> GraphingRep:
     """Compose two graphings along a cut region.
 
     Rigid inputs take the finite cell route; everything else enumerates
-    paths exactly and must either die out or be truncated explicitly.
+    paths exactly and must die out within the budget.  Running out of
+    budget raises NonTerminating on both routes; so does stopping a path
+    at max_len, unless allow_truncation is set.
     """
     _check_supports(f, g, cut)
-    rigid = None if force_general else rigidity([f, g], [cut])
-    if rigid is not None:
-        edges, truncated = _plug_cells(CellGraph([f, g], *rigid), cut, cap, max_len)
+    try:
+        cg = cell_decompose([f, g], [cut])
+    except NotCellRigid:
+        found, truncated = _plug_general(f, g, cut, cap, max_len)
     else:
-        edges, truncated = _plug_general(f, g, cut, cap, max_len)
-        if edges is None:
-            if not allow_truncation:
-                raise NonTerminating(
-                    f"plugging did not close off within {expansion_cap(cap)} expansions")
-            edges, truncated = [], True
+        found, truncated = _plug_cells(cg, cut, cap, max_len)
     if truncated and not allow_truncation:
         raise NonTerminating("plugging truncated at the requested length")
+    return _composite(f, g, cut, found)
+
+
+def _composite(f: GraphingRep, g: GraphingRep, cut: MSet, found) -> GraphingRep:
+    """The plugged graphing from (source, dialect pair, map, weight) records."""
+    edges = [Edge(src, in_state, out_state, desc, weight)
+             for src, st, desc, weight in found
+             for in_state, out_state in _pair_state(st, f.dialect_size, g.dialect_size)]
     support = f.support.union(g.support).difference(cut)
     edges.sort(key=lambda e: (e.in_state, e.out_state, e.mapd.key(),
                               e.weight.a, e.weight.flag,
@@ -613,9 +548,8 @@ def walk_counts(cg: CellGraph, seeds: Iterable, max_len: int) -> dict[int, int]:
     return counts
 
 
-def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int,
-                     grid: int | None = None) -> dict[int, int]:
+def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int) -> dict[int, int]:
     """Number of cell-level alternating walks per length; the cell shadow
     of alternating_paths for rigid inputs."""
-    cg = cell_decompose([f, g], grid)
+    cg = cell_decompose([f, g])
     return walk_counts(cg, (node for *_, node in cg.seeds()), max_len)

@@ -196,6 +196,22 @@ def test_paths_and_exec_and_measure(capsys, tmp_path, conveyor, doubler):
     assert "INF" in out
 
 
+def test_exact_walk_budget_exits_two(capsys, tmp_path, monkeypatch,
+                                     conveyor, doubler):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(conveyor.to_json()))
+    right.write_text(json.dumps(doubler.to_json()))
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "15")
+    code, _, err = run(capsys, "paths", str(left), str(right))
+    assert code == 2
+    assert "IterationCapExceeded" in err
+    code, _, err = run(capsys, "exec", str(left), str(right),
+                       "--cut", json.dumps(seg(1, 4).to_json()))
+    assert code == 2
+    assert "NonTerminating" in err
+
+
 def test_exec_refuses_to_truncate_a_rigid_pair(capsys, tmp_path):
     # a rigid pair cut short by --max-len is an error, not a partial result
     from gmachines.words import DEFAULT_PSI, representation

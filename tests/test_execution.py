@@ -2,14 +2,16 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
 
-from gmachines.automata import parity_automaton
+from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
-from gmachines.execution import (FREE, alternating_paths, cell_decompose,
+from gmachines.execution import (FREE, _composite, _plug_general,
+                                 alternating_paths, cell_decompose,
                                  cell_path_counts, expansion_cap, plug,
                                  restrict_path)
 from gmachines.graphings import GraphingRep, equivalent
@@ -154,6 +156,32 @@ def test_rigid_plug_refuses_to_truncate_silently():
         assert not cropped.edges
 
 
+def test_spent_budget_raises_on_both_routes(conveyor, doubler):
+    # allow_truncation covers max_len only: a spent budget is never an
+    # empty composite, on the exact route as on the cell route
+    for cap in (5, 10, 20):
+        with pytest.raises(NonTerminating):
+            plug(conveyor, doubler, seg(1, 4), max_len=7,
+                 allow_truncation=True, cap=cap)
+    m = automaton_to_machine(parity_automaton())
+    with pytest.raises(NonTerminating):
+        plug(m.graphing, representation("0110"), DEFAULT_PSI.interface_mset(),
+             allow_truncation=True, cap=1)
+
+
+def test_plugging_routes_agree():
+    cut = DEFAULT_PSI.interface_mset()
+    for automaton, words in ((parity_automaton, ["", "0", "1", "0110", "10101"]),
+                             (zeros_ones_automaton, ["", "01", "0011", "0101", "10"])):
+        m = automaton_to_machine(automaton())
+        for w in words:
+            rep = representation(w)
+            found, truncated = _plug_general(m.graphing, rep, cut, None, None)
+            assert not truncated
+            exact = _composite(m.graphing, rep, cut, found)
+            assert equivalent(exact, plug(m.graphing, rep, cut)), w
+
+
 def test_cell_decompose_requires_rigidity(conveyor, doubler):
     with pytest.raises(NotCellRigid):
         cell_decompose([conveyor, doubler])
@@ -196,6 +224,26 @@ def test_any_state_index_and_successors_chain():
                         assert dst == cg.image(side, k, cell) and turn == 1 - side
                         assert nst[side] == (now[0], e.out_state)
                         assert nst[1 - side] == idle
+
+
+def test_seeds_skip_whole_and_partial_blocks():
+    rng = random.Random(31)
+    for _ in range(20):
+        f, g = random_rigid_pair(rng, dialect=2)
+        cg = cell_decompose([f, g])
+        arrows = cg.all_arrows()
+        cells = sorted({cell for _side, _k, cell, _dst in arrows})
+        whole = {(blk, cube) for blk in (0, 2)
+                 for cube in product(range(cg.n), repeat=cg.N)}
+        partial = set(rng.sample(cells, len(cells) // 3))
+        for skip in (set(), whole, partial, whole | partial):
+            got = list(cg.seeds(frozenset(skip)))
+            assert [(side, k, cell, node[0]) for side, k, cell, node in got] == \
+                [a for a in arrows if a[2] not in skip]
+            for side, k, _cell, (_dst, st, turn) in got:
+                e = (f, g)[side].edges[k]
+                assert st[side] == (e.in_state, e.out_state)
+                assert st[1 - side] == (None, None) and turn == 1 - side
 
 
 def test_cell_counts_refine_path_census():
