@@ -54,7 +54,10 @@ class Weight:
         self.flag = int(flag)
 
     def __mul__(self, other: "Weight") -> "Weight":
-        return Weight(self.a * other.a, max(self.flag, other.flag))
+        # a product of dilations in [0,1] stays there: no check needed
+        w = object.__new__(Weight)
+        w.a, w.flag = self.a * other.a, self.flag | other.flag
+        return w
 
     def param(self) -> Fraction:
         """The scalar fed to measurement: dilation times flag."""

@@ -8,6 +8,9 @@ dichotomy: zero when no flagged circuit exists, infinite otherwise, and
 the search is plain reachability on the finite cell structure.  With
 dilations below one the series converges and is summed in closed form per
 circuit orbit, with a certified geometric bound on the enumeration tail.
+That bound does not depend on the circuits, so the length is fixed once
+from it and the circuits are listed once; each circuit's orbits are read
+from the first of its rotations that some seed of the search walked.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -179,9 +182,12 @@ class Circuit:
         return len(self.labels)
 
 
-def _canonical_rotation(labels: tuple) -> tuple:
-    rots = [labels[i:] + labels[:i] for i in range(len(labels))]
-    return min(rots)
+def _canonical_rotation(labels: tuple) -> tuple[tuple, int]:
+    """The least rotation of labels, and the offset at which labels sits
+    in it: labels == canon[offset:] + canon[:offset]."""
+    n = len(labels)
+    i = min(range(n), key=lambda i: labels[i:] + labels[:i])
+    return labels[i:] + labels[:i], (n - i) % n
 
 
 def _is_power(labels: tuple) -> bool:
@@ -254,12 +260,14 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     """Primitive alternating circuits up to rotation, with orbit data.
 
     Enumeration is complete below max_len; powers of the returned
-    circuits are the remaining ones below that length.
+    circuits are the remaining ones below that length.  Each circuit
+    comes as the first rotation, from its least one on, that some cell
+    walks, with that rotation's orbits.
     """
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
     pairs = (f, g)
-    found: dict[tuple, None] = {}
+    found: dict[tuple, int] = {}
     steps = 0
     # depth-first over label sequences with a witness cell
     stack = [(((side, k),), node, side) for side, k, _cell, node in cg.seeds()]
@@ -272,35 +280,29 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
         _cell, ((ff, of), (fg, og)), turn = node
         if (turn == seed_side and of == ff and og == fg
                 and ff is not None and fg is not None):
-            canon = _canonical_rotation(labels)
-            if not _is_power(canon):
-                found.setdefault(canon)
+            canon, offset = _canonical_rotation(labels)
+            if not _is_power(canon) and offset < found.get(canon, len(canon)):
+                found[canon] = offset
         if len(labels) >= max_len:
             continue
         for k, _e, nxt in cg.successors(node):
             stack.append((labels + ((turn, k),), nxt, seed_side))
     out = []
     for canon in sorted(found):
-        # the search closed a consistent dialect cycle, so every rotation
-        # chains; orbit data comes from the first rotation with live
-        # starts, and closed orbits are the same for every live rotation
-        orbits: tuple[Orbit, ...] = ()
-        chosen = canon
-        for i in range(len(canon)):
-            rot = canon[i:] + canon[:i]
-            orbs = _orbits(cg, rot)
-            if orbs:
-                chosen, orbits = rot, orbs
-                break
-        if not orbits:
-            continue
+        # every cell of every edge is a seed and every rotation of a closed
+        # dialect cycle chains from the free pair, so a rotation has a
+        # start cell that walks it exactly when some seed walked it: the
+        # least offset found is the first live rotation
+        i = found[canon]
+        chosen = canon[i:] + canon[:i]
         weight = ONE
         composed = None
         for side, k in chosen:
             e = pairs[side].edges[k]
             weight = weight * e.weight
             composed = e.mapd if composed is None else e.mapd.compose(composed)
-        out.append(_with_periods(Circuit(tuple(chosen), weight, composed, orbits)))
+        out.append(_with_periods(Circuit(chosen, weight, composed,
+                                         _orbits(cg, chosen))))
     return out
 
 
@@ -382,6 +384,8 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
         return INF if _exists_flagged_circuit(f, g, cap) else Fraction(0)
     if mode != "series":
         raise ValueError(f"unknown measurement mode {mode!r}")
+    if tol <= 0:
+        raise ValueError("series tolerance must be positive")
     cg = cell_decompose([f, g])
     norm = _row_norm(cg, f, g)
     if norm >= 1:
@@ -394,21 +398,21 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
     node_count = states * 2 * max(
         1, len({c for side in (0, 1) for k, _ in enumerate((f, g)[side].edges)
                 for c in cg.source_cells(side, k)}))
+    # the tail bound does not depend on the circuits, so the length is
+    # fixed before any is listed
     length = 4
-    while True:
-        total = Fraction(0)
-        for circ in circuits(f, g, max_len=length, cap=cap):
-            for orb in circ.orbits:
-                if orb.closed and orb.period is not None:
-                    total += _orbit_series(circ.weight.a, circ.weight.flag,
-                                           orb.period, orb.measure)
-        tail = volume * node_count * norm**(length + 1) / ((1 - norm) * (1 - a_max))
-        if tail < tol:
-            return total
+    while volume * node_count * norm**(length + 1) / ((1 - norm) * (1 - a_max)) >= tol:
         length *= 2
         if length > 4096:
             raise IterationCapExceeded(
                 "series enumeration length escalated beyond 4096")
+    total = Fraction(0)
+    for circ in circuits(f, g, max_len=length, cap=cap):
+        for orb in circ.orbits:
+            if orb.closed and orb.period is not None:
+                total += _orbit_series(circ.weight.a, circ.weight.flag,
+                                       orb.period, orb.measure)
+    return total
 
 
 def measure_projects(p: Project, q: Project, mode: str = "exact",

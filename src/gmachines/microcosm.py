@@ -184,17 +184,35 @@ class TransformationDescriptor:
     def key(self):
         return (self.slope, self.offset, self.perm, self.shifts)
 
+    @classmethod
+    def _normal(cls, slope, offset, perm, shifts) -> "TransformationDescriptor":
+        """Wrap fields that are already in normal form, unchecked."""
+        d = object.__new__(cls)
+        d.slope, d.offset, d.perm, d.shifts = slope, offset, perm, shifts
+        return d
+
     def compose(self, other: "TransformationDescriptor") -> "TransformationDescriptor":
-        """self after other."""
-        slope = self.slope * other.slope
-        offset = self.slope * other.offset + self.offset
-        perm = self.perm.compose(other.perm)
-        inv = self.perm.inverse()
-        idxs = {i for i, _ in self.shifts} | {self.perm(i) for i, _ in other.shifts}
-        shifts = {}
-        for j in idxs:
-            shifts[j] = _frac_part(other.shift(inv(j)) + self.shift(j))
-        return TransformationDescriptor(slope, offset, perm, shifts)
+        """self after other.  Both are normal, so the fields compose
+        directly: other's shift on i moves to perm(i), and two shifts in
+        [0,1) sum below 2."""
+        if self.slope == 1:
+            slope, offset = other.slope, other.offset + self.offset
+        else:
+            slope = self.slope * other.slope
+            offset = self.slope * other.offset + self.offset
+        p = self.perm
+        if p.is_identity():
+            perm = other.perm
+        elif other.perm.is_identity():
+            perm = p
+        else:
+            perm = p.compose(other.perm)
+        merged = {p(i): lam for i, lam in other.shifts}
+        for j, lam in self.shifts:
+            s = merged.get(j, 0) + lam
+            merged[j] = s - 1 if s >= 1 else s
+        shifts = tuple(sorted((j, lam) for j, lam in merged.items() if lam))
+        return TransformationDescriptor._normal(slope, offset, perm, shifts)
 
     def inverse(self) -> "TransformationDescriptor":
         slope = 1 / self.slope

@@ -2,8 +2,9 @@
 
 Nothing here imports from gmachines; every oracle recomputes its answer
 from first principles so the tests compare two genuinely different
-derivations.  The one borrowed piece is cell geometry, which the circuit
-oracle takes from a cell decomposition its caller passes in.
+derivations.  The borrowed pieces are cell geometry, which the circuit
+oracles take from a cell decomposition their caller passes in, and the
+validating constructors of the maps that the compose oracle is given.
 """
 
 from collections import deque
@@ -203,6 +204,53 @@ def ref_flagged_circuit(cells, f, g):
                     seen.add(y)
                     queue.append(y)
     return False
+
+
+# -- the first live rotation of a circuit -----------------------------------
+#
+# A rotation of a label cycle is live when some cell of its first edge's
+# source walks the whole sequence.  Rotations are tried from offset 0 on,
+# each walked from scratch from every source cell.
+
+
+def ref_first_live_rotation(cells, canon):
+    """The first rotation of canon that some cell walks, with its start map
+    {start cell: end cell}, or None when no rotation is live.  `cells` is a
+    cell decomposition: source_cells(side, k), applicable(side, k, cell)
+    and image(side, k, cell)."""
+    for i in range(len(canon)):
+        rot = canon[i:] + canon[:i]
+        starts = {}
+        for cell in cells.source_cells(*rot[0]):
+            end = cell
+            for side, k in rot:
+                if not cells.applicable(side, k, end):
+                    break
+                end = cells.image(side, k, end)
+            else:
+                starts[cell] = end
+        if starts:
+            return rot, starts
+    return None
+
+
+# -- composing maps by the textbook formula ---------------------------------
+#
+# (x, s) |-> (slope*x + offset, shifts(perm(s))): g moves coordinate i to
+# perm_g(i) and shifts it, then f moves it on to perm_f(perm_g(i)), so g's
+# shift on j lands on perm_f(j).  The raw fields go through the validating
+# constructors of the inputs' own classes, which reduce shifts mod 1 and
+# drop zeros.
+
+
+def ref_compose(f, g):
+    """f after g."""
+    idxs = f.perm.support() | g.perm.support()
+    perm = type(f.perm)({i: f.perm(g.perm(i)) for i in idxs})
+    shifts = {f.perm(j): lam for j, lam in g.shifts}
+    for j, lam in f.shifts:
+        shifts[j] = shifts.get(j, 0) + lam
+    return type(f)(f.slope * g.slope, f.slope * g.offset + f.offset, perm, shifts)
 
 
 # -- measure of a union of boxes --------------------------------------------

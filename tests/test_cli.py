@@ -231,6 +231,28 @@ def test_exec_refuses_to_truncate_a_rigid_pair(capsys, tmp_path):
     assert len(json.loads(out)["edges"]) == 2
 
 
+def test_series_errors_exit_two_at_once(capsys, tmp_path):
+    from gmachines.graphings import GraphingRep, Edge, Weight
+    from gmachines.microcosm import TransformationDescriptor
+    paths = []
+    for flag in (1, 0):
+        loop = GraphingRep(seg(0, 1), 1, [
+            Edge(seg(0, 1), 0, 0, TransformationDescriptor(),
+                 Weight("999/1000", flag))])
+        paths.append(tmp_path / f"loop{flag}.json")
+        paths[-1].write_text(json.dumps(loop.to_json()))
+    left, right = map(str, paths)
+    # certifying the tail would need circuits longer than 4096
+    code, out, err = run(capsys, "measure", left, right, "--mode", "series")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: IterationCapExceeded")
+    for tol in ("0", "-1/2"):
+        code, out, err = run(capsys, "measure", left, right, "--mode", "series",
+                             f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: series tolerance must be positive\n"
+
+
 def test_psi_flag_changes_nothing_observable(capsys):
     base = run(capsys, "decide", "parity", "110")
     alt = run(capsys, "decide", "parity", "110", "--psi", "shifted")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import ref_flagged_circuit
+from oracles import ref_first_live_rotation, ref_flagged_circuit
 
 
 def _loop(a=1, flag=1, shifts=None, block=(0, 1)):
@@ -75,6 +76,45 @@ def test_series_mode_sums_the_loop():
                              mode="series") == Fraction(1, 3)
     cold = _loop(a=Fraction(1, 2), flag=0)
     assert measure_graphings(cold, cold, mode="series") == 0
+
+
+def test_series_needing_more_than_4096_raises_before_enumerating():
+    slow = Fraction(999, 1000)
+    start = time.perf_counter()
+    with pytest.raises(IterationCapExceeded):
+        measure_graphings(_loop(a=slow), _loop(a=slow, flag=0), mode="series")
+    assert time.perf_counter() - start < 1
+
+
+def test_series_tolerance_must_be_positive():
+    h = _loop(a=Fraction(1, 2))
+    for tol in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="series tolerance must be positive"):
+            measure_graphings(h, h, mode="series", tol=tol)
+
+
+def test_circuits_read_orbits_from_the_first_live_rotation():
+    rng = random.Random(1895)
+    count = only_open = not_least = 0
+    for i in range(60):
+        f, g = random_rigid_pair(rng, dialect=(2, 3)[i % 2])
+        cg = cell_decompose([f, g])
+        for c in circuits(f, g, max_len=(4, 6, 8)[i % 3]):
+            canon = min(c.labels[j:] + c.labels[:j] for j in range(c.length))
+            rot, starts = ref_first_live_rotation(cg, canon)
+            assert c.labels == rot, i
+            # the orbits split the live starts and follow the walk
+            assert c.orbits
+            assert sorted(x for o in c.orbits for x in o.cells) == sorted(starts)
+            for o in c.orbits:
+                assert all(starts[a] == b for a, b in zip(o.cells, o.cells[1:]))
+                assert (starts[o.cells[-1]] == o.cells[0]) == o.closed
+                assert o.measure == cg.cell_volume() * len(o.cells)
+            count += 1
+            only_open += not any(o.closed for o in c.orbits)
+            not_least += rot != canon
+    assert (count >= 120 and only_open >= 10 and count - only_open >= 10
+            and not_least >= 40), (count, only_open, not_least)
 
 
 def test_t_minus_is_a_flagged_idle_loop():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmachines.errors import WrapSplitRequired
+from gmachines.graphings import Weight
 from gmachines.microcosm import (IDENTITY, MicrocosmSpec, Perm,
                                  TransformationDescriptor, apply, apply_box,
                                  apply_mset, classify, compose,
@@ -14,6 +15,7 @@ from gmachines.microcosm import (IDENTITY, MicrocosmSpec, Perm,
 from gmachines.space import MSet, equal_ae
 
 from conftest import seg
+from oracles import ref_compose
 
 
 def T(slope=1, offset=0, perm=None, shifts=None):
@@ -186,3 +188,40 @@ def test_identity_is_neutral(f):
 def test_json_round_trip(f):
     back = TransformationDescriptor.from_json(f.to_json())
     assert back.key() == f.key()
+
+
+_SHIFTS = [Fraction(k, d) for d in (2, 3, 4) for k in range(1, d)]
+
+
+@st.composite
+def normal_descriptors(draw):
+    slope = draw(st.sampled_from([1, 1, -1, 2, Fraction(1, 2), Fraction(3, 2)]))
+    offset = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    perm = draw(perms()) if draw(st.booleans()) else None
+    shifts = draw(st.dictionaries(st.integers(1, 5), st.sampled_from(_SHIFTS),
+                                  max_size=3))
+    return TransformationDescriptor(slope, offset, perm, shifts)
+
+
+@given(normal_descriptors(), normal_descriptors())
+@example(T(shifts={1: Fraction(2, 3)}), T(shifts={1: Fraction(2, 3)}))
+@example(T(shifts={1: Fraction(1, 2)}), T(shifts={1: Fraction(1, 2)}))
+@example(T(perm=Perm({1: 3, 3: 1})), T(shifts={1: Fraction(1, 2), 2: Fraction(1, 3)}))
+@example(T(perm=Perm({1: 3, 3: 1}), shifts={3: Fraction(3, 4), 1: Fraction(1, 4)}),
+         T(slope=2, shifts={1: Fraction(1, 2), 3: Fraction(2, 3)}))
+@settings(max_examples=200, deadline=None)
+def test_compose_keeps_the_normal_form(f, g):
+    # equal keys, not just equal points: a zero, wrapped or unsorted
+    # shift entry would break == and hashing
+    got, ref = compose(f, g), ref_compose(f, g)
+    assert got.key() == ref.key()
+    assert got == ref and hash(got) == hash(ref)
+
+
+@given(st.fractions(0, 1, max_denominator=12), st.integers(0, 1),
+       st.fractions(0, 1, max_denominator=12), st.integers(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_weight_product_matches_the_checked_constructor(a, fa, b, fb):
+    w = Weight(a, fa) * Weight(b, fb)
+    assert w == Weight(a * b, max(fa, fb))
+    assert (w.a, w.flag) == (a * b, max(fa, fb))
