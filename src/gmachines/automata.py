@@ -53,6 +53,9 @@ class Transition(NamedTuple):
 
     @classmethod
     def from_json(cls, data) -> "Transition":
+        for key in ("read", "state", "head", "dir", "next"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"transition needs a {key!r} field, got {data!r}")
         return cls(
             tuple(data["read"]),
             data["state"],
@@ -123,10 +126,16 @@ class MultiheadAutomaton:
 
     @classmethod
     def from_json(cls, data) -> "MultiheadAutomaton":
+        for key in ("heads", "states"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"automaton needs a {key!r} field, got {data!r}")
+        transitions = data.get("transitions", [])
+        if not isinstance(transitions, list):
+            raise ValueError(f"'transitions' must be a list, got {transitions!r}")
         return cls(
             int(data["heads"]),
             data["states"],
-            [Transition.from_json(t) for t in data.get("transitions", [])],
+            [Transition.from_json(t) for t in transitions],
             data.get("start", "init"),
         )
 

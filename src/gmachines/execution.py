@@ -242,13 +242,6 @@ class CellGraph:
             e = self.gs[turn].edges[k]
             yield k, e, (self.image(turn, k, cell), _chain(st, turn, e), 1 - turn)
 
-    def all_arrows(self) -> list[tuple[int, int, Cell, Cell]]:
-        out = []
-        for (side, k) in sorted(self._edge_info):
-            for cell in self.source_cells(side, k):
-                out.append((side, k, cell, self.image(side, k, cell)))
-        return out
-
     def edge(self, side: int, k: int) -> Edge:
         return self.gs[side].edges[k]
 

@@ -116,6 +116,8 @@ class Edge:
 
     @classmethod
     def from_json(cls, data) -> "Edge":
+        if not isinstance(data, dict) or "source" not in data:
+            raise ValueError(f"edge needs a 'source' field, got {data!r}")
         return cls(
             MSet.from_json(data["source"]),
             int(data.get("in", 0)),
@@ -150,10 +152,13 @@ class GraphingRep:
     def from_json(cls, data) -> "GraphingRep":
         if not isinstance(data, dict):
             raise ValueError(f"graphing must be an object, got {data!r}")
+        edges = data.get("edges", [])
+        if not isinstance(edges, list):
+            raise ValueError(f"graphing 'edges' must be a list, got {edges!r}")
         return cls(
             MSet.from_json(data.get("support", [])),
             int(data.get("dialect", 0)) + 1,
-            [Edge.from_json(e) for e in data.get("edges", [])],
+            [Edge.from_json(e) for e in edges],
         )
 
     def __repr__(self):

@@ -48,6 +48,8 @@ class Machine:
 
     @classmethod
     def from_json(cls, data, psi: VertexTable = DEFAULT_PSI) -> "Machine":
+        if not isinstance(data, dict) or "graphing" not in data:
+            raise ValueError(f"machine needs a 'graphing' field, got {data!r}")
         return cls(GraphingRep.from_json(data["graphing"]),
                    int(data.get("headBound", 1)), psi)
 

@@ -4,13 +4,15 @@ The measurement between two graphings totals, over the alternating
 circuits they form, the return behaviour of each circuit's points.  Only
 circuits carrying the marker flag contribute, and only points that
 actually return do.  With every dilation equal to one this collapses to a
-dichotomy: zero when no flagged circuit exists, infinite otherwise, and
-the search is plain reachability on the finite cell structure.  With
-dilations below one the series converges and is summed in closed form per
-circuit orbit, with a certified geometric bound on the enumeration tail.
-That bound does not depend on the circuits, so the length is fixed once
-from it and the circuits are listed once; each circuit's orbits are read
-from the first of its rotations that some seed of the search walked.
+dichotomy: zero when no flagged circuit exists, infinite otherwise.  The
+search runs on demand over the finite cell structure: it expands only
+what the targets of flagged arrows reach, and its budget counts the arcs
+it expands.  With dilations below one the series converges and is summed
+in closed form per circuit orbit, with a certified geometric bound on the
+enumeration tail.  That bound does not depend on the circuits, so the
+length is fixed once from it and the circuits are listed once; each
+circuit's orbits are read from the first of its rotations that some seed
+of the search walked.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -18,7 +20,6 @@ test and reads the verdict off their orthogonality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,90 +73,78 @@ def _live_states(g: GraphingRep) -> list[int]:
 def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
                             cap: int | None = None) -> bool:
     """Is there an alternating circuit with a recurrent point carrying the
-    flag?  A circuit whose walk never comes back spatially has only broken
-    orbits and cannot weigh anything, so the test looks for a directed
-    cycle through a flagged arrow in the finite graph on (cell, state of
-    either side, side to fire).
-
-    While one side fires, the other side's carried state stays put.  On a
-    circuit that state was set by an arrow of the idle side ending in it
-    and is read by one starting in it, so only live states are carried;
-    the budget counts these arcs."""
+    flag?  Broken orbits weigh nothing, so this looks for a directed cycle
+    through a flagged arrow in the finite graph on (cell, side to fire,
+    state of either side).  The idle side's state stays put; on a circuit
+    an arrow of that side entered it and another will leave it, so only
+    live states are carried.  A flagged arrow lies on a cycle exactly when
+    its target reaches its source, so one Tarjan pass from the flagged
+    targets decides, expanding only what they reach; the budget counts
+    the arcs it expands."""
     if not (any(e.weight.flag for e in f.edges) or any(e.weight.flag for e in g.edges)):
         return False
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
-    idle = (_live_states(g), _live_states(f))
-    adj: dict = {}
+    live = (_live_states(f), _live_states(g))
     arcs = 0
-    for side, k, cell, dst in cg.all_arrows():
-        e = cg.edge(side, k)
-        fl = e.weight.flag
-        for other in idle[side]:
-            if side == 0:
-                src = (cell, e.in_state, other, 0)
-                tgt = (dst, e.out_state, other, 1)
-            else:
-                src = (cell, other, e.in_state, 1)
-                tgt = (dst, other, e.out_state, 0)
-            adj.setdefault(src, []).append((tgt, fl))
-            arcs += 1
-            if arcs > budget:
-                raise IterationCapExceeded(
-                    f"circuit search grew past {budget} arrows")
-    comp = _scc(adj)
-    for src, outs in adj.items():
-        for tgt, fl in outs:
-            if fl and tgt in comp and comp[src] == comp[tgt]:
-                return True
-    return False
+
+    # a node is (cell, side to fire, that side's state, the idle side's state)
+    def step(side, k, cell, idle):
+        return (cg.image(side, k, cell), 1 - side, idle, cg.edge(side, k).out_state)
+
+    def successors(node):
+        nonlocal arcs
+        cell, turn, state, idle = node
+        if idle in live[1 - turn]:
+            for k in cg.edges_from(turn, state, cell):
+                arcs += 1
+                if arcs > budget:
+                    raise IterationCapExceeded(
+                        f"circuit search grew past {budget} arrows")
+                yield step(turn, k, cell, idle)
+
+    flagged = [((cell, side, e.in_state, idle), step(side, k, cell, idle))
+               for side, h in enumerate((f, g))
+               for k, e in enumerate(h.edges) if e.weight.flag
+               for cell in cg.source_cells(side, k)
+               for idle in live[1 - side]]
+    comp = _scc([v for _u, v in flagged], successors)
+    return any(comp.get(u) == comp[v] for u, v in flagged)
 
 
-def _scc(adj: dict) -> dict:
-    """Strongly connected components, iterative Tarjan; nodes without an
-    entry in the adjacency map have no outgoing arcs."""
+def _scc(roots, successors) -> dict:
+    """Strongly connected components of what the roots reach, iterative
+    Tarjan; successors(node) gives an iterator, drawn only as far as the
+    search goes.  Each node maps to the root node of its component."""
     index: dict = {}
     low: dict = {}
     comp: dict = {}
     stack: list = []
-    on_stack: set = set()
-    counter = 0
-    comps = 0
-    for root in adj:
+    for root in roots:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, successors(root))]
         while work:
-            node, pos = work[-1]
-            if pos == 0:
-                index[node] = low[node] = counter = counter + 1
-                stack.append(node)
-                on_stack.add(node)
-            outs = adj.get(node, ())
-            advanced = False
-            for nxt_pos in range(pos, len(outs)):
-                child = outs[nxt_pos][0]
+            node, outs = work[-1]
+            for child in outs:
                 if child not in index:
-                    work[-1] = (node, nxt_pos + 1)
-                    work.append((child, 0))
-                    advanced = True
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    work.append((child, successors(child)))
                     break
-                if child in on_stack:
+                if child not in comp:
+                    # visited and not yet in a component: still on the stack
                     low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comps += 1
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp[top] = comps
-                    if top == node:
-                        break
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while node not in comp:
+                        comp[stack.pop()] = node
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return comp
 
 
@@ -391,7 +380,8 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
     if norm >= 1:
         raise ValueError(
             f"series tail cannot be certified: row dilation norm {norm} >= 1")
-    a_max = max([e.weight.a for e in f.edges + g.edges], default=Fraction(0))
+    a_max = max([e.weight.a for e in f.edges + g.edges if not e.source.is_empty()],
+                default=Fraction(0))
     volume = f.support.union(g.support).measure()
     states = max(f.dialect_size * g.dialect_size, 1)
     # crude but sound node count for the tail bound

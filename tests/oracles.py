@@ -166,6 +166,22 @@ def brute_plug(fs, gs, cut, max_len):
     return out
 
 
+# -- the arrows of a cell decomposition ---------------------------------------
+#
+# Every source cell of every edge with the cell the edge sends it to, by
+# side, edge and cell; no index and no dialect state.
+
+
+def ref_arrows(cells):
+    """(side, k, cell, image) for every arrow.  `cells` is a cell
+    decomposition: its graphings gs, source_cells(side, k) and
+    image(side, k, cell)."""
+    return [(side, k, cell, cells.image(side, k, cell))
+            for side, g in enumerate(cells.gs)
+            for k in range(len(g.edges))
+            for cell in cells.source_cells(side, k)]
+
+
 # -- flagged circuits over the full product ----------------------------------
 #
 # Nodes are (cell, state of f, state of g, side to fire) over every dialect

@@ -114,3 +114,16 @@ def test_bad_head_index_is_rejected_at_parse():
     doc["transitions"][0]["head"] = 2
     with pytest.raises(ValueError):
         MultiheadAutomaton.from_json(doc)
+
+
+def test_missing_fields_are_named_at_parse():
+    doc = parity_automaton().to_json()
+    for key in ("heads", "states"):
+        with pytest.raises(ValueError, match=f"'{key}' field"):
+            MultiheadAutomaton.from_json({k: v for k, v in doc.items() if k != key})
+    with pytest.raises(ValueError, match="'transitions' must be a list"):
+        MultiheadAutomaton.from_json(dict(doc, transitions=3))
+    for key in ("read", "state", "head", "dir", "next"):
+        t = {k: v for k, v in doc["transitions"][0].items() if k != key}
+        with pytest.raises(ValueError, match=f"'{key}' field"):
+            MultiheadAutomaton.from_json(dict(doc, transitions=[t]))

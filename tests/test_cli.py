@@ -79,6 +79,18 @@ def test_decide_malformed_input(capsys, tmp_path):
     assert "error" in err
 
 
+def test_documents_missing_fields_exit_two(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    bad_edges = tmp_path / "bad-edges.json"
+    bad_edges.write_text(json.dumps({"edges": 3}))
+    for argv in (("decide", str(empty), "01"), ("compare", str(empty)),
+                 ("measure", str(bad_edges), str(bad_edges))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ValueError"), (argv, err)
+
+
 def test_decide_missing_word(capsys):
     code, _, err = run(capsys, "decide", "parity")
     assert code == 2
@@ -251,6 +263,19 @@ def test_series_errors_exit_two_at_once(capsys, tmp_path):
                              f"--tol={tol}")
         assert (code, out) == (2, "")
         assert err == "error: ValueError: series tolerance must be positive\n"
+
+
+def test_series_skips_an_empty_source_edge(capsys, tmp_path):
+    from gmachines.graphings import GraphingRep, Edge, Weight
+    from gmachines.microcosm import TransformationDescriptor
+    loop = Edge(seg(0, 1), 0, 0, TransformationDescriptor(), Weight("1/2", 1))
+    idle = Edge(seg(0, 0), 0, 0, TransformationDescriptor(), Weight(1, 0))
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(GraphingRep(seg(0, 1), 1, [loop, idle]).to_json()))
+    right.write_text(json.dumps(GraphingRep(seg(0, 1), 1, [loop]).to_json()))
+    assert run(capsys, "measure", str(left), str(right), "--mode", "series") == \
+        (0, "1/3\n", "")
 
 
 def test_psi_flag_changes_nothing_observable(capsys):

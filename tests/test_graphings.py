@@ -143,3 +143,14 @@ def test_json_preserves_perm_and_weight():
     b = back.edges[0]
     assert b.weight.param() == Fraction(1, 2) and b.weight.flag == 1
     assert b.mapd.key() == t.key()
+
+
+def test_json_missing_fields_are_named(seesaw):
+    doc = seesaw.to_json()
+    with pytest.raises(ValueError, match="'edges' must be a list"):
+        GraphingRep.from_json(dict(doc, edges=3))
+    edge = {k: v for k, v in doc["edges"][0].items() if k != "source"}
+    with pytest.raises(ValueError, match="'source' field"):
+        GraphingRep.from_json(dict(doc, edges=[edge]))
+    with pytest.raises(ValueError, match="'source' field"):
+        GraphingRep.from_json(dict(doc, edges=[7]))

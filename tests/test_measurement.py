@@ -76,6 +76,11 @@ def test_series_mode_sums_the_loop():
                              mode="series") == Fraction(1, 3)
     cold = _loop(a=Fraction(1, 2), flag=0)
     assert measure_graphings(cold, cold, mode="series") == 0
+    # an edge with an empty source fires nowhere, whatever its dilation
+    idle = Edge(seg(0, 0), 0, 0, TransformationDescriptor(), Weight(1, 0))
+    assert idle.source.is_empty()
+    with_idle = GraphingRep(h.support, 1, h.edges + (idle,))
+    assert measure_graphings(with_idle, h, mode="series") == Fraction(1, 3)
 
 
 def test_series_needing_more_than_4096_raises_before_enumerating():
@@ -174,6 +179,19 @@ def test_cap_reaches_the_circuit_search(monkeypatch):
     # an explicit cap overrides the environment's
     monkeypatch.setenv("GM_MAX_PATH_LEN", "1")
     assert decide_against_test(p, cap=10**6) == "fail"
+
+
+def test_circuit_budget_counts_only_expanded_arcs():
+    # 640 arrows in all, 64 of them flagged; the flagged loop's targets
+    # reach only their own 64 cells, so the search expands 128 arcs
+    shift = TransformationDescriptor(shifts={1: Fraction(1, 64)})
+    f = GraphingRep(seg(0, 5), 1, _loop().edges + tuple(
+        Edge(seg(b, b + 1, **{"1": (0, 1)}), 0, 0, shift) for b in range(1, 5)))
+    g = GraphingRep(seg(0, 5), 1, [Edge(seg(0, 5), 0, 0, TransformationDescriptor())])
+    assert measure_graphings(f, g, cap=300) is INF
+    assert measure_graphings(f, g, cap=128) is INF
+    with pytest.raises(IterationCapExceeded):
+        measure_graphings(f, g, cap=127)
 
 
 def test_exact_search_matches_unpruned_reference():
