@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Sequence
 
-from .errors import BadAlphabet
+from .space import _int_field
+from .words import IN, OUT, _check_word, _words_upto
 
 __all__ = [
     "MARKER",
@@ -30,8 +31,6 @@ __all__ = [
 ]
 
 MARKER = "*"
-IN = "In"
-OUT = "Out"
 HALTING = ("accept", "reject")
 
 
@@ -59,7 +58,7 @@ class Transition(NamedTuple):
         return cls(
             tuple(data["read"]),
             data["state"],
-            int(data["head"]),
+            _int_field(data["head"], "head"),
             data["dir"],
             data["next"],
         )
@@ -133,7 +132,7 @@ class MultiheadAutomaton:
         if not isinstance(transitions, list):
             raise ValueError(f"'transitions' must be a list, got {transitions!r}")
         return cls(
-            int(data["heads"]),
+            _int_field(data["heads"], "heads"),
             data["states"],
             [Transition.from_json(t) for t in transitions],
             data.get("start", "init"),
@@ -141,12 +140,6 @@ class MultiheadAutomaton:
 
     def initial(self) -> Configuration:
         return Configuration(self.start, (0,) * self.heads)
-
-
-def _check_word(w: str):
-    for ch in w:
-        if ch not in ("0", "1"):
-            raise BadAlphabet(f"letter {ch!r} outside the binary alphabet")
 
 
 def _symbol(w: str, pos: int) -> str:
@@ -209,13 +202,7 @@ def trace_counts(a: MultiheadAutomaton, w: str, max_len: int) -> dict[int, int]:
 
 def language_a(a: MultiheadAutomaton, max_len: int) -> list[str]:
     """All co-accepted words up to the given length, shortest first."""
-    out = []
-    for k in range(max_len + 1):
-        for bits in range(2**k):
-            w = format(bits, f"0{k}b") if k else ""
-            if co_accepts(a, w):
-                out.append(w)
-    return out
+    return [w for w in _words_upto(max_len) if co_accepts(a, w)]
 
 
 def parity_automaton() -> MultiheadAutomaton:

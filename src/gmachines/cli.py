@@ -17,7 +17,7 @@ from .execution import alternating_paths, plug
 from .graphings import GraphingRep
 from .machines import Machine
 from .space import MSet, rat, rat_str
-from .words import ALT_PSI, DEFAULT_PSI
+from .words import ALT_PSI, DEFAULT_PSI, _words_upto
 
 BUILTIN = {
     "parity": automata.parity_automaton,
@@ -71,12 +71,6 @@ def _emit(data, path: str | None = None) -> int:
         json.dump(data, sys.stdout, indent=2)
         sys.stdout.write("\n")
     return 0
-
-
-def _words_upto(max_len: int):
-    for k in range(max_len + 1):
-        for bits in range(2**k):
-            yield format(bits, f"0{k}b") if k else ""
 
 
 def _show(w: str) -> str:

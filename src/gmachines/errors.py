@@ -40,10 +40,6 @@ class NotCellRigid(GMError):
     """An edge map does not act by cell translations at the requested grid."""
 
 
-class NotMeasurePreserving(GMError):
-    """A map with |slope| != 1 was given where measure must be preserved."""
-
-
 class SupportMismatch(GMError):
     """Measurement of projects requires equal supports."""
 

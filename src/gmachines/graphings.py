@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NonComparable, NotInjective, OverlappingSupports
 from .microcosm import TransformationDescriptor
-from .space import MSet, contains_ae, equal_ae, rat, rat_str
+from .space import (MSet, _int_field, _object_field, contains_ae, equal_ae, rat,
+                    rat_str)
 
 __all__ = [
     "Weight",
@@ -70,7 +71,8 @@ class Weight:
     def from_json(cls, data) -> "Weight":
         if data is None:
             return ONE
-        return cls(rat(data.get("a", 1)), int(data.get("flag", 0)))
+        data = _object_field(data, "weight")
+        return cls(rat(data.get("a", 1)), _int_field(data.get("flag", 0), "flag"))
 
     def __eq__(self, other):
         return isinstance(other, Weight) and self.a == other.a and self.flag == other.flag
@@ -120,8 +122,8 @@ class Edge:
             raise ValueError(f"edge needs a 'source' field, got {data!r}")
         return cls(
             MSet.from_json(data["source"]),
-            int(data.get("in", 0)),
-            int(data.get("out", 0)),
+            _int_field(data.get("in", 0), "in"),
+            _int_field(data.get("out", 0), "out"),
             TransformationDescriptor.from_json(data.get("map", {})),
             Weight.from_json(data.get("weight")),
         )
@@ -157,7 +159,7 @@ class GraphingRep:
             raise ValueError(f"graphing 'edges' must be a list, got {edges!r}")
         return cls(
             MSet.from_json(data.get("support", [])),
-            int(data.get("dialect", 0)) + 1,
+            _int_field(data.get("dialect", 0), "dialect") + 1,
             [Edge.from_json(e) for e in edges],
         )
 
@@ -307,9 +309,6 @@ class SymValue:
         c = rat(c)
         return SymValue(self.const * c, self.zeta * c)
 
-    def is_zero(self) -> bool:
-        return self.const == 0 and self.zeta == 0
-
     def to_json(self):
         if self.zeta == 0:
             return rat_str(self.const)
@@ -333,9 +332,6 @@ class SymValue:
         if self.zeta == 0:
             return f"SymValue({self.const})"
         return f"SymValue({self.const} + {self.zeta}*zeta)"
-
-
-ZETA = SymValue(0, 1)
 
 
 class Project:

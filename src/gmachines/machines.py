@@ -19,11 +19,12 @@ from fractions import Fraction
 
 from .errors import NotEssential
 from .execution import plug_projects
-from .graphings import Edge, GraphingRep, ONE, Project, validate
+from .graphings import Edge, GraphingRep, Project, validate
 from .measurement import decide_against_test, t_minus
 from .microcosm import Perm, TransformationDescriptor, decompose_star
-from .space import MSet
-from .words import DEFAULT_PSI, IN, OUT, SYMBOLS, VertexTable, representation
+from .space import MSet, _int_field
+from .words import (DEFAULT_PSI, IN, OUT, SYMBOLS, VertexTable, _words_upto,
+                    representation)
 
 __all__ = [
     "Machine",
@@ -51,7 +52,7 @@ class Machine:
         if not isinstance(data, dict) or "graphing" not in data:
             raise ValueError(f"machine needs a 'graphing' field, got {data!r}")
         return cls(GraphingRep.from_json(data["graphing"]),
-                   int(data.get("headBound", 1)), psi)
+                   _int_field(data.get("headBound", 1), "headBound"), psi)
 
     def __repr__(self):
         return (f"Machine({len(self.graphing.edges)} edges, "
@@ -92,13 +93,7 @@ def accepts(m: Machine, w: str, psi: VertexTable | None = None) -> bool:
 
 
 def language_m(m: Machine, max_len: int) -> list[str]:
-    out = []
-    for k in range(max_len + 1):
-        for bits in range(2**k):
-            w = format(bits, f"0{k}b") if k else ""
-            if accepts(m, w):
-                out.append(w)
-    return out
+    return [w for w in _words_upto(max_len) if accepts(m, w)]
 
 
 def _is_star(p: Perm) -> bool:

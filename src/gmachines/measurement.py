@@ -10,9 +10,9 @@ what the targets of flagged arrows reach, and its budget counts the arcs
 it expands.  With dilations below one the series converges and is summed
 in closed form per circuit orbit, with a certified geometric bound on the
 enumeration tail.  That bound does not depend on the circuits, so the
-length is fixed once from it and the circuits are listed once; each
-circuit's orbits are read from the first of its rotations that some seed
-of the search walked.
+length is fixed once from it and the circuits are listed by one DFS whose
+walks carry their start cell, composed map and weight; each circuit's
+orbits come from the seeds that closed its first live rotation.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IterationCapExceeded, SupportMismatch
-from .execution import CellGraph, Cell, cell_decompose, expansion_cap
-from .graphings import Edge, GraphingRep, ONE, Project, SymValue, Weight
+from .execution import Cell, cell_decompose, expansion_cap
+from .graphings import Edge, GraphingRep, Project, SymValue, Weight
 from .microcosm import TransformationDescriptor
 from .space import equal_ae
 from .words import DEFAULT_PSI, VertexTable
@@ -187,24 +187,12 @@ def _is_power(labels: tuple) -> bool:
     return False
 
 
-def _walk_cells(cg: CellGraph, labels, cell: Cell) -> Cell | None:
-    for side, k in labels:
-        if not cg.applicable(side, k, cell):
-            return None
-        cell = cg.image(side, k, cell)
-    return cell
-
-
-def _orbits(cg: CellGraph, labels) -> tuple[Orbit, ...]:
-    side0, k0 = labels[0]
-    starts = {}
-    for cell in cg.source_cells(side0, k0):
-        end = _walk_cells(cg, labels, cell)
-        if end is not None:
-            starts[cell] = end
+def _orbits(starts: dict, composed: TransformationDescriptor,
+            vol: Fraction) -> tuple[Orbit, ...]:
+    """Split a start map {start cell: end cell} into orbits: a closed one
+    has period q * order(composed^q) over its q cells, or None."""
     orbits = []
     unvisited = set(starts)
-    vol = cg.cell_volume()
     while unvisited:
         c = min(unvisited)
         trail = []
@@ -227,21 +215,11 @@ def _orbits(cg: CellGraph, labels) -> tuple[Orbit, ...]:
         if tail:
             orbits.append(Orbit(tuple(tail), False, None, vol * len(tail)))
         if cycle:
-            orbits.append(Orbit(tuple(cycle), True, None, vol * len(cycle)))
+            q = len(cycle)
+            r = composed.power(q).order()
+            orbits.append(Orbit(tuple(cycle), True, None if r is None else q * r,
+                                vol * q))
     return tuple(orbits)
-
-
-def _with_periods(circ: Circuit) -> Circuit:
-    out = []
-    for orb in circ.orbits:
-        if not orb.closed:
-            out.append(orb)
-            continue
-        q = len(orb.cells)
-        r = circ.composed.power(q).order()
-        period = None if r is None else q * r
-        out.append(Orbit(orb.cells, True, period, orb.measure))
-    return Circuit(circ.labels, circ.weight, circ.composed, tuple(out))
 
 
 def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
@@ -251,47 +229,52 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     Enumeration is complete below max_len; powers of the returned
     circuits are the remaining ones below that length.  Each circuit
     comes as the first rotation, from its least one on, that some cell
-    walks, with that rotation's orbits.
+    walks, with that rotation's orbits.  One DFS reads it all off: each
+    walk carries its start cell, composed map and weight, and the orbits
+    come from the seeds that closed the first live rotation.
     """
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
-    pairs = (f, g)
-    found: dict[tuple, int] = {}
+    # least canon -> (offset, map, weight, {start cell: end cell}) of the
+    # first rotation some seed closed
+    found: dict[tuple, tuple] = {}
     steps = 0
-    # depth-first over label sequences with a witness cell
-    stack = [(((side, k),), node, side) for side, k, _cell, node in cg.seeds()]
+    # depth-first over label sequences, each walk carrying its start cell,
+    # composed map and weight
+    stack = []
+    for side, k, cell, node in cg.seeds():
+        e = cg.edge(side, k)
+        stack.append((((side, k),), cell, node, e.mapd, e.weight))
     while stack:
-        labels, node, seed_side = stack.pop()
+        labels, start, node, desc, weight = stack.pop()
         steps += 1
         if steps > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
-        _cell, ((ff, of), (fg, og)), turn = node
-        if (turn == seed_side and of == ff and og == fg
+        cell, ((ff, of), (fg, og)), turn = node
+        if (turn == labels[0][0] and of == ff and og == fg
                 and ff is not None and fg is not None):
             canon, offset = _canonical_rotation(labels)
-            if not _is_power(canon) and offset < found.get(canon, len(canon)):
-                found[canon] = offset
+            if not _is_power(canon):
+                best = found.get(canon)
+                if best is None or offset < best[0]:
+                    found[canon] = best = (offset, desc, weight, {})
+                if offset == best[0]:
+                    best[3][start] = cell
         if len(labels) >= max_len:
             continue
-        for k, _e, nxt in cg.successors(node):
-            stack.append((labels + ((turn, k),), nxt, seed_side))
+        for k, e, nxt in cg.successors(node):
+            stack.append((labels + ((turn, k),), start, nxt,
+                          e.mapd.compose(desc), weight * e.weight))
+    # every cell of every edge is a seed, and whether a walk chains and
+    # closes in the dialect depends only on its labels, so the seeds that
+    # closed the least live offset are all the start cells of that rotation
+    vol = cg.cell_volume()
     out = []
     for canon in sorted(found):
-        # every cell of every edge is a seed and every rotation of a closed
-        # dialect cycle chains from the free pair, so a rotation has a
-        # start cell that walks it exactly when some seed walked it: the
-        # least offset found is the first live rotation
-        i = found[canon]
-        chosen = canon[i:] + canon[:i]
-        weight = ONE
-        composed = None
-        for side, k in chosen:
-            e = pairs[side].edges[k]
-            weight = weight * e.weight
-            composed = e.mapd if composed is None else e.mapd.compose(composed)
-        out.append(_with_periods(Circuit(chosen, weight, composed,
-                                         _orbits(cg, chosen))))
+        i, composed, weight, starts = found[canon]
+        out.append(Circuit(canon[i:] + canon[:i], weight, composed,
+                           _orbits(starts, composed, vol)))
     return out
 
 
@@ -342,21 +325,6 @@ def _orbit_series(a: Fraction, flag: int, rho: int, mu: Fraction) -> Fraction:
     return mu * total
 
 
-def _row_norm(cg: CellGraph, f: GraphingRep, g: GraphingRep) -> Fraction:
-    """Largest total dilation leaving any product node."""
-    pairs = (f, g)
-    worst = Fraction(0)
-    for side in (0, 1):
-        tails: dict[tuple, Fraction] = {}
-        for k, e in enumerate(pairs[side].edges):
-            for cell in cg.source_cells(side, k):
-                key = (cell, e.in_state)
-                tails[key] = tails.get(key, Fraction(0)) + e.weight.a
-        if tails:
-            worst = max(worst, max(tails.values()))
-    return worst
-
-
 def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
                       tol: Fraction = DEFAULT_TOL, cap: int | None = None):
     """Total circuit measurement between two graphings.
@@ -376,7 +344,14 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
     if tol <= 0:
         raise ValueError("series tolerance must be positive")
     cg = cell_decompose([f, g])
-    norm = _row_norm(cg, f, g)
+    # total dilation leaving each product node (cell, side to fire, state)
+    tails: dict[tuple, Fraction] = {}
+    for side, h in enumerate((f, g)):
+        for k, e in enumerate(h.edges):
+            for cell in cg.source_cells(side, k):
+                key = (cell, side, e.in_state)
+                tails[key] = tails.get(key, Fraction(0)) + e.weight.a
+    norm = max(tails.values(), default=Fraction(0))
     if norm >= 1:
         raise ValueError(
             f"series tail cannot be certified: row dilation norm {norm} >= 1")
@@ -385,9 +360,7 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
     volume = f.support.union(g.support).measure()
     states = max(f.dialect_size * g.dialect_size, 1)
     # crude but sound node count for the tail bound
-    node_count = states * 2 * max(
-        1, len({c for side in (0, 1) for k, _ in enumerate((f, g)[side].edges)
-                for c in cg.source_cells(side, k)}))
+    node_count = states * 2 * max(1, len({cell for cell, _side, _state in tails}))
     # the tail bound does not depend on the circuits, so the length is
     # fixed before any is listed
     length = 4

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import WrapSplitRequired
-from .space import Box, Interval, MSet, rat, rat_str
+from .space import Box, Interval, MSet, _int_field, _object_field, rat, rat_str
 
 __all__ = [
     "Perm",
@@ -128,7 +128,8 @@ class Perm:
 
     @classmethod
     def from_json(cls, data) -> "Perm":
-        return cls({int(k): int(v) for k, v in dict(data).items()})
+        return cls({_int_field(k, "perm"): _int_field(v, "perm")
+                    for k, v in _object_field(data, "perm").items()})
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self._map == other._map
@@ -314,19 +315,15 @@ class TransformationDescriptor:
 
     @classmethod
     def from_json(cls, data) -> "TransformationDescriptor":
-        if not isinstance(data, dict):
-            raise ValueError(f"map must be an object, got {data!r}")
+        data = _object_field(data, "map")
         perm = Perm.from_json(data.get("perm", {}))
-        shifts = {int(k): rat(v) for k, v in data.get("shifts", {}).items()}
+        shifts = {_int_field(k, "shifts"): rat(v)
+                  for k, v in _object_field(data.get("shifts", {}), "shifts").items()}
         return cls(rat(data.get("slope", 1)), rat(data.get("offset", 0)), perm, shifts)
 
     @classmethod
     def translation(cls, z) -> "TransformationDescriptor":
         return cls(1, z)
-
-    @classmethod
-    def permutation(cls, perm: Perm) -> "TransformationDescriptor":
-        return cls(1, 0, perm)
 
     @classmethod
     def coordinate_shift(cls, idx: int, lam) -> "TransformationDescriptor":

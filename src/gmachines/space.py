@@ -34,14 +34,33 @@ __all__ = [
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to Fraction."""
+    """Coerce ints, Fractions and "p/q" strings to Fraction; ValueError
+    for anything else."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot interpret {value!r} as a rational")
+
+
+def _int_field(value, field: str) -> int:
+    """A JSON field read as an integer, or ValueError naming it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}") from None
+
+
+def _object_field(value, field: str) -> dict:
+    """A JSON field that must be an object, or ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field!r} must be an object, got {value!r}")
+    return value
 
 
 def rat_str(value: Fraction) -> str:
@@ -158,7 +177,7 @@ class Box:
         if not isinstance(data, dict) or "line" not in data:
             raise ValueError(f"box must be an object with a 'line' field, got {data!r}")
         coords = {}
-        for key, val in data.get("coords", {}).items():
+        for key, val in _object_field(data.get("coords", {}), "coords").items():
             coords[int(key)] = Interval.from_json(val)
         return cls(Interval.from_json(data["line"]), coords)
 

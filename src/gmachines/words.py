@@ -15,7 +15,7 @@ which column is which position; decisions downstream must not care.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import BadAlphabet, PairingRequired
 from .graphings import Edge, GraphingRep, ONE, rename_dialect
@@ -109,6 +109,13 @@ def _check_word(w) -> tuple[str, ...]:
         if c not in ("0", "1"):
             raise BadAlphabet(f"word symbol {c!r} is not 0 or 1")
     return letters
+
+
+def _words_upto(max_len: int):
+    """Every binary word of at most max_len letters, shortest first."""
+    for k in range(max_len + 1):
+        for bits in range(2**k):
+            yield format(bits, f"0{k}b") if k else ""
 
 
 class WordGraph:

@@ -7,6 +7,7 @@ import pytest
 from gmachines import cli
 from gmachines.automata import parity_automaton
 from gmachines.encodings import automaton_to_machine
+from gmachines.graphings import GraphingRep
 
 from conftest import line_edge, seg
 
@@ -89,6 +90,37 @@ def test_documents_missing_fields_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ValueError"), (argv, err)
+
+
+def _loop_with(edge=(), box=()):
+    doc = GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0)]).to_json()
+    doc["edges"][0].update(edge)
+    doc["support"][0].update(box)
+    return doc
+
+
+_in_null = automaton_to_machine(parity_automaton()).to_json()
+_in_null["graphing"]["edges"][0]["in"] = None
+WRONG_TYPES = {
+    "heads-null": ("compare", {"heads": None, "states": []}),
+    "edge-in-null": ("decide", _in_null),
+    "weight-number": ("measure", _loop_with(edge={"weight": 3})),
+    "perm-number": ("measure", _loop_with(edge={"map": {"perm": 5}})),
+    "line-float": ("measure", _loop_with(box={"line": [0.5, "1/1"]})),
+    "coords-list": ("measure", _loop_with(box={"coords": []})),
+}
+
+
+@pytest.mark.parametrize("command, doc", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_fields_of_the_wrong_type_exit_two(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"compare": (command, str(path)),
+            "decide": (command, str(path), "01"),
+            "measure": (command, str(path), str(path))}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ValueError"), err
 
 
 def test_decide_missing_word(capsys):

@@ -1,6 +1,7 @@
 """Circuit measurement between graphings and projects."""
 
 from fractions import Fraction
+from functools import reduce
 import random
 import time
 
@@ -21,7 +22,7 @@ from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import ref_first_live_rotation, ref_flagged_circuit
+from oracles import ref_compose, ref_first_live_rotation, ref_flagged_circuit
 
 
 def _loop(a=1, flag=1, shifts=None, block=(0, 1)):
@@ -115,6 +116,11 @@ def test_circuits_read_orbits_from_the_first_live_rotation():
                 assert all(starts[a] == b for a, b in zip(o.cells, o.cells[1:]))
                 assert (starts[o.cells[-1]] == o.cells[0]) == o.closed
                 assert o.measure == cg.cell_volume() * len(o.cells)
+            # the map and weight the walk carried are the rotation's own
+            edges = [(f, g)[side].edges[k] for side, k in c.labels]
+            assert c.composed == reduce(lambda d, e: ref_compose(e.mapd, d),
+                                        edges[1:], edges[0].mapd), i
+            assert c.weight.flag == max(e.weight.flag for e in edges), i
             count += 1
             only_open += not any(o.closed for o in c.orbits)
             not_least += rot != canon
