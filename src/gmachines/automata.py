@@ -34,6 +34,20 @@ MARKER = "*"
 HALTING = ("accept", "reject")
 
 
+def _str_field(value, field: str) -> str:
+    """A JSON field that must be a string, or ValueError naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field!r} must be a string, got {value!r}")
+    return value
+
+
+def _str_list(value, field: str) -> tuple[str, ...]:
+    """A JSON field that must be a list of strings, or ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field!r} must be a list of strings, got {value!r}")
+    return tuple(_str_field(v, field) for v in value)
+
+
 class Transition(NamedTuple):
     read: tuple[str, ...]
     state: str
@@ -56,11 +70,11 @@ class Transition(NamedTuple):
             if not isinstance(data, dict) or key not in data:
                 raise ValueError(f"transition needs a {key!r} field, got {data!r}")
         return cls(
-            tuple(data["read"]),
-            data["state"],
+            _str_list(data["read"], "read"),
+            _str_field(data["state"], "state"),
             _int_field(data["head"], "head"),
-            data["dir"],
-            data["next"],
+            _str_field(data["dir"], "dir"),
+            _str_field(data["next"], "next"),
         )
 
 
@@ -133,9 +147,9 @@ class MultiheadAutomaton:
             raise ValueError(f"'transitions' must be a list, got {transitions!r}")
         return cls(
             _int_field(data["heads"], "heads"),
-            data["states"],
+            _str_list(data["states"], "states"),
             [Transition.from_json(t) for t in transitions],
-            data.get("start", "init"),
+            _str_field(data.get("start", "init"), "start"),
         )
 
     def initial(self) -> Configuration:

@@ -439,7 +439,8 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
             seen[path] = tr
             mapped[len(tr)] = mapped.get(len(tr), 0) + 1
         # the machine side fires first, from the root
-        seeds = (node for _k, _e, node in cg.successors((root, FREE, 0)))
+        seeds = ((node, cells) for _k, _e, node, cells
+                 in cg.successors((FREE, 0), {root: root}))
         by_len = walk_counts(cg, seeds, 2 * max_steps - 1)
         paths = {(ln + 1) // 2: c for ln, c in by_len.items() if ln % 2}
         for i in range(1, max_steps + 1):

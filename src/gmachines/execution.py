@@ -11,16 +11,17 @@ lines, coordinate permutations within a bound.  Rigidity is read once, by
 grid cells to grid cells, so paths become walks on a finite graph of
 cells and plugging terminates by state deduplication.
 
-The cell engine is one walk on a finite product graph.  A node is (cell,
-dialect pair, side to fire); the pair holds, per side, the in-state of
+The cell engine is one walk on a finite product graph.  A node is
+(dialect pair, side to fire); the pair holds, per side, the in-state of
 that side's first edge and its current out-state, both None while the
-side has not fired.  `_chain` fires an edge on the pair, and is also the
-exact engine's dialect bookkeeping.  `CellGraph.seeds` fires every arrow
-from the free pair; `CellGraph.successors` lets the side whose turn it is
-fire an edge chaining at its out-state, or any edge while it is still
-free.  Plugging is a search over this graph, `walk_counts` counts its
-walks, and the circuit listing in the measurement module is a
-depth-first search over it.
+side has not fired.  Rigid maps act on cells as a group, so a walk's
+node, map and weight depend only on its labels: the walks sharing them
+move as one group {start cell: cell}.  `_chain` fires an edge on the
+pair, and is also the exact engine's dialect bookkeeping.  `seeds` fires
+every edge from the free pair; `successors` lets the side whose turn it
+is fire an edge chaining at its out-state, or any edge while still free.
+Plugging, `walk_counts` and the circuit listing of the measurement
+module are searches over this graph.
 
 Plugging two graphings along a cut region composes every alternating path
 that starts outside the cut, travels inside it, and exits; the composite
@@ -102,9 +103,10 @@ class CellGraph:
     """Finite cell structure of a family of rigid graphings.
 
     A cell is a unit line block crossed with a grid cube; every edge of
-    every graphing maps cells onto cells.  Arrows are computed on demand:
-    the graph object only stores, per edge, which cells its source covers
-    and how the map moves a cube.  Arrows are indexed by side, block and
+    every graphing maps cells onto cells, so walks move in groups
+    {start cell: cell}, one per label sequence.  Arrows are computed on
+    demand: the graph only stores, per edge, which cells its source
+    covers and how the map moves a cube, indexed by side, block and
     in-state, and under in-state None for a side that may bind any.
     Built by `cell_decompose`, which reads the grid and the coordinate
     bound off the same edges.
@@ -223,24 +225,29 @@ class CellGraph:
         return out
 
     def seeds(self, skip: frozenset = frozenset()):
-        """Every arrow fired from the free pair at a source cell outside
-        skip, as (side, k, cell, node).  Blocks lying wholly in skip are
-        passed over without listing their cells."""
+        """Every edge fired from the free pair, as (side, k, node, cells):
+        cells maps each source cell outside skip to its image.  Blocks
+        lying wholly in skip are passed over without listing their cells."""
         per_block = Counter(blk for blk, _ in skip)
         full = {blk for blk, c in per_block.items() if c == self.n ** self.N}
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
-                st = _chain(FREE, side, e)
-                for cell in self.source_cells(side, k, full):
-                    if cell not in skip:
-                        yield side, k, cell, (self.image(side, k, cell), st, 1 - side)
+                cells = {cell: self.image(side, k, cell)
+                         for cell in self.source_cells(side, k, full) if cell not in skip}
+                if cells:
+                    yield side, k, (_chain(FREE, side, e), 1 - side), cells
 
-    def successors(self, node):
-        """Arrows leaving a product node, as (k, edge, next node)."""
-        cell, st, turn = node
-        for k in self.edges_from(turn, st[turn][1], cell):
+    def successors(self, node, cells: dict):
+        """Edges firing from a node on walks {start: cell}, in order, as
+        (k, edge, next node, {start: image}) over the walks they apply to."""
+        st, turn = node
+        moved: dict[int, dict] = {}
+        for start, cell in cells.items():
+            for k in self.edges_from(turn, st[turn][1], cell):
+                moved.setdefault(k, {})[start] = self.image(turn, k, cell)
+        for k in sorted(moved):
             e = self.gs[turn].edges[k]
-            yield k, e, (self.image(turn, k, cell), _chain(st, turn, e), 1 - turn)
+            yield k, e, (_chain(st, turn, e), 1 - turn), moved[k]
 
     def edge(self, side: int, k: int) -> Edge:
         return self.gs[side].edges[k]
@@ -412,34 +419,39 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
     fires = 0
     truncated = False
     queue: deque = deque()
-    seen: set = set()
+    # (node, map, weight) -> start cells; the map fixes each one's cell
+    seen: dict = {}
 
-    def reach(start, node, desc, weight, length):
+    def reach(node, desc, weight, cells, length):
         nonlocal fires
-        fires += 1
+        fires += len(cells)
         if fires > budget:
             raise NonTerminating(
                 f"plug exceeded the budget of {budget} cell-arrow expansions")
-        key = (start, node, desc, weight)
-        if key in seen:
-            return
-        seen.add(key)
-        if node[0] in cutcells:
-            queue.append(key + (length,))
-        else:
-            results[(start, node[1], desc.key(), weight.a, weight.flag)] = \
-                (start, node[1], desc, weight)
+        known = seen.setdefault((node, desc, weight), set())
+        inside = {}
+        for start, cell in cells.items():
+            if start in known:
+                continue
+            known.add(start)
+            if cell in cutcells:
+                inside[start] = cell
+            else:
+                results[(start, node[0], desc.key(), weight.a, weight.flag)] = \
+                    (start, node[0], desc, weight)
+        if inside:
+            queue.append((node, desc, weight, inside, length))
 
-    for side, k, cell, node in cg.seeds(cutcells):
+    for side, k, node, cells in cg.seeds(cutcells):
         e = cg.edge(side, k)
-        reach(cell, node, e.mapd, e.weight, 1)
+        reach(node, e.mapd, e.weight, cells, 1)
     while queue:
-        start, node, desc, weight, length = queue.popleft()
+        node, desc, weight, cells, length = queue.popleft()
         if max_len is not None and length >= max_len:
             truncated = True
             continue
-        for _k, e, nxt in cg.successors(node):
-            reach(start, nxt, e.mapd.compose(desc), weight * e.weight, length + 1)
+        for _k, e, nxt, moved in cg.successors(node, cells):
+            reach(nxt, e.mapd.compose(desc), weight * e.weight, moved, length + 1)
     return [(cg.cell_mset(start), st, desc, weight)
             for start, st, desc, weight in results.values()], truncated
 
@@ -518,26 +530,17 @@ def plug_projects(p: Project, q: Project, cut: MSet) -> Project:
 
 
 def walk_counts(cg: CellGraph, seeds: Iterable, max_len: int) -> dict[int, int]:
-    """Number of product walks per length up to max_len, one walk per
-    seed node (the node its first arrow reaches).
-
-    A walk is fixed by its start cell and label sequence, and walks that
-    meet at a node share their whole future, so the frontier merges them.
-    """
-    frontier: dict = {}
-    for node in seeds:
-        frontier[node] = frontier.get(node, 0) + 1
+    """Number of product walks per length up to max_len, from seed groups
+    (node, {start: cell}) of length-one walks."""
+    frontier = list(seeds)
     counts: dict[int, int] = {}
     for length in range(1, max_len + 1):
         if not frontier:
             break
-        counts[length] = sum(frontier.values())
+        counts[length] = sum(len(cells) for _node, cells in frontier)
         if length < max_len:
-            nxt: dict = {}
-            for node, c in frontier.items():
-                for _k, _e, succ in cg.successors(node):
-                    nxt[succ] = nxt.get(succ, 0) + c
-            frontier = nxt
+            frontier = [(nxt, moved) for node, cells in frontier
+                        for _k, _e, nxt, moved in cg.successors(node, cells)]
     return counts
 
 
@@ -545,4 +548,4 @@ def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int) -> dict[int, 
     """Number of cell-level alternating walks per length; the cell shadow
     of alternating_paths for rigid inputs."""
     cg = cell_decompose([f, g])
-    return walk_counts(cg, (node for *_, node in cg.seeds()), max_len)
+    return walk_counts(cg, ((node, cells) for *_, node, cells in cg.seeds()), max_len)

@@ -10,9 +10,10 @@ what the targets of flagged arrows reach, and its budget counts the arcs
 it expands.  With dilations below one the series converges and is summed
 in closed form per circuit orbit, with a certified geometric bound on the
 enumeration tail.  That bound does not depend on the circuits, so the
-length is fixed once from it and the circuits are listed by one DFS whose
-walks carry their start cell, composed map and weight; each circuit's
-orbits come from the seeds that closed its first live rotation.
+length is fixed once from it and the circuits are listed by one DFS over
+label sequences, each carrying its composed map, weight and the start
+cells that walk it; each circuit's orbits come from the walks of its
+first live rotation.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -229,46 +230,38 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     Enumeration is complete below max_len; powers of the returned
     circuits are the remaining ones below that length.  Each circuit
     comes as the first rotation, from its least one on, that some cell
-    walks, with that rotation's orbits.  One DFS reads it all off: each
-    walk carries its start cell, composed map and weight, and the orbits
-    come from the seeds that closed the first live rotation.
+    walks, with that rotation's orbits.  One DFS over label sequences
+    reads it all off: each carries its composed map, weight and walks
+    {start cell: cell}, and the walks of the first live rotation are its
+    start map.
     """
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
-    # least canon -> (offset, map, weight, {start cell: end cell}) of the
-    # first rotation some seed closed
+    # least canon -> (offset, map, weight, {start cell: end cell}) of its
+    # first rotation that some cell walks
     found: dict[tuple, tuple] = {}
     steps = 0
-    # depth-first over label sequences, each walk carrying its start cell,
-    # composed map and weight
-    stack = []
-    for side, k, cell, node in cg.seeds():
-        e = cg.edge(side, k)
-        stack.append((((side, k),), cell, node, e.mapd, e.weight))
+    # depth-first over label sequences, each carrying its composed map,
+    # weight and walks {start cell: cell}
+    stack = [(((side, k),), node, cg.edge(side, k).mapd, cg.edge(side, k).weight, cells)
+             for side, k, node, cells in cg.seeds()]
     while stack:
-        labels, start, node, desc, weight = stack.pop()
-        steps += 1
+        labels, node, desc, weight, cells = stack.pop()
+        steps += len(cells)
         if steps > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
-        cell, ((ff, of), (fg, og)), turn = node
+        ((ff, of), (fg, og)), turn = node
         if (turn == labels[0][0] and of == ff and og == fg
                 and ff is not None and fg is not None):
             canon, offset = _canonical_rotation(labels)
-            if not _is_power(canon):
-                best = found.get(canon)
-                if best is None or offset < best[0]:
-                    found[canon] = best = (offset, desc, weight, {})
-                if offset == best[0]:
-                    best[3][start] = cell
+            if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
+                found[canon] = (offset, desc, weight, cells)
         if len(labels) >= max_len:
             continue
-        for k, e, nxt in cg.successors(node):
-            stack.append((labels + ((turn, k),), start, nxt,
-                          e.mapd.compose(desc), weight * e.weight))
-    # every cell of every edge is a seed, and whether a walk chains and
-    # closes in the dialect depends only on its labels, so the seeds that
-    # closed the least live offset are all the start cells of that rotation
+        for k, e, nxt, moved in cg.successors(node, cells):
+            stack.append((labels + ((turn, k),), nxt,
+                          e.mapd.compose(desc), weight * e.weight, moved))
     vol = cg.cell_volume()
     out = []
     for canon in sorted(found):

@@ -24,10 +24,6 @@ __all__ = [
     "Perm",
     "TransformationDescriptor",
     "MicrocosmSpec",
-    "compose",
-    "apply",
-    "apply_box",
-    "apply_mset",
     "classify",
     "member",
     "decompose_star",
@@ -183,7 +179,8 @@ class TransformationDescriptor:
         )
 
     def key(self):
-        return (self.slope, self.offset, self.perm, self.shifts)
+        """Sortable identity: the perm enters as its sorted pairs."""
+        return (self.slope, self.offset, self.perm._map, self.shifts)
 
     @classmethod
     def _normal(cls, slope, offset, perm, shifts) -> "TransformationDescriptor":
@@ -345,23 +342,6 @@ class TransformationDescriptor:
 
 
 IDENTITY = TransformationDescriptor()
-
-
-def compose(f: TransformationDescriptor, g: TransformationDescriptor) -> TransformationDescriptor:
-    """f after g."""
-    return f.compose(g)
-
-
-def apply(f: TransformationDescriptor, x, coords=None):
-    return f.apply_point(x, coords)
-
-
-def apply_box(f: TransformationDescriptor, box: Box) -> Box:
-    return f.apply_box(box)
-
-
-def apply_mset(f: TransformationDescriptor, m: MSet) -> MSet:
-    return f.apply_mset(m)
 
 
 class MicrocosmSpec:

@@ -305,14 +305,6 @@ class MSet:
     def __init__(self, boxes: Iterable[Box] = ()):
         self.boxes = _normalize(boxes)
 
-    @classmethod
-    def of(cls, *boxes: Box) -> "MSet":
-        return cls(boxes)
-
-    @classmethod
-    def interval(cls, lo, hi) -> "MSet":
-        return cls([Box(Interval(lo, hi))])
-
     def is_empty(self) -> bool:
         return not self.boxes
 

@@ -140,9 +140,6 @@ class WordGraph:
     def length(self) -> int:
         return len(self.letters)
 
-    def symbol(self, i: int) -> str:
-        return "*" if i == 0 else self.letters[i - 1]
-
     def __repr__(self):
         return f"WordGraph({''.join(self.letters)!r})"
 

@@ -99,6 +99,13 @@ def _loop_with(edge=(), box=()):
     return doc
 
 
+def _parity_with(transition=(), **fields):
+    doc = parity_automaton().to_json()
+    doc["transitions"][0].update(transition)
+    doc.update(fields)
+    return doc
+
+
 _in_null = automaton_to_machine(parity_automaton()).to_json()
 _in_null["graphing"]["edges"][0]["in"] = None
 WRONG_TYPES = {
@@ -108,6 +115,10 @@ WRONG_TYPES = {
     "perm-number": ("measure", _loop_with(edge={"map": {"perm": 5}})),
     "line-float": ("measure", _loop_with(box={"line": [0.5, "1/1"]})),
     "coords-list": ("measure", _loop_with(box={"coords": []})),
+    "read-number": ("compare", _parity_with(transition={"read": 5})),
+    "states-null": ("compare", _parity_with(states=None)),
+    "state-list": ("compare", _parity_with(states=[["init"], "accept", "reject"])),
+    "next-list": ("compare", _parity_with(transition={"next": ["even"]})),
 }
 
 
@@ -273,6 +284,27 @@ def test_exec_refuses_to_truncate_a_rigid_pair(capsys, tmp_path):
                        "--cut", interface)
     assert code == 0
     assert len(json.loads(out)["edges"]) == 2
+
+
+def test_exec_sorts_composites_that_differ_only_in_perm(capsys, tmp_path):
+    from gmachines.graphings import Edge, Weight
+    from gmachines.microcosm import Perm, TransformationDescriptor
+    # two paths out of the cut with equal states, slope and offset
+    f = GraphingRep(seg(0, 2), 1, [
+        Edge(seg(0, 1, **{"1": (lo, hi)}), 0, 0,
+             TransformationDescriptor(offset=1, perm=Perm({1: j, j: 1})), Weight())
+        for (lo, hi), j in ((("0", "1/2"), 2), (("1/2", "1"), 3))])
+    g = GraphingRep(seg(1, 3), 1, [line_edge(1, 2, 1, -1)])
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(f.to_json()))
+    right.write_text(json.dumps(g.to_json()))
+    code, out, err = run(capsys, "exec", str(left), str(right),
+                         "--cut", json.dumps(seg(1, 2).to_json()))
+    assert code == 0, err
+    # one composite per start cell, four cells per half at grid 2
+    perms = [e["map"]["perm"] for e in json.loads(out)["edges"]]
+    assert perms == [{"1": 2, "2": 1}] * 4 + [{"1": 3, "3": 1}] * 4
 
 
 def test_series_errors_exit_two_at_once(capsys, tmp_path):

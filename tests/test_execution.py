@@ -169,11 +169,14 @@ def test_spent_budget_raises_on_both_routes(conveyor, doubler):
              allow_truncation=True, cap=1)
 
 
-def test_plugging_routes_agree():
+def test_plugging_routes_agree(winding_machine, tape_loop_machine):
     cut = DEFAULT_PSI.interface_mset()
-    for automaton, words in ((parity_automaton, ["", "0", "1", "0110", "10101"]),
-                             (zeros_ones_automaton, ["", "01", "0011", "0101", "10"])):
-        m = automaton_to_machine(automaton())
+    small = ["", "1", "01", "110"]
+    for m, words in ((automaton_to_machine(parity_automaton()),
+                      ["", "0", "1", "0110", "10101"]),
+                     (automaton_to_machine(zeros_ones_automaton()),
+                      ["", "01", "0011", "0101", "10"]),
+                     (winding_machine, small), (tape_loop_machine, small)):
         for w in words:
             rep = representation(w)
             found, truncated = _plug_general(m.graphing, rep, cut, None, None)
@@ -206,24 +209,35 @@ def test_any_state_index_and_successors_chain():
         f, g = random_rigid_pair(rng, dialect=3)
         cg = cell_decompose([f, g])
         cells = sorted({cell for _side, _k, cell, _dst in ref_arrows(cg)})
+        # a group of walks, keyed apart from their cells
+        group = dict(enumerate(cells))
         idle = (1, 2)
         for side, h in enumerate((f, g)):
             for cell in cells:
                 live = [k for k in range(len(h.edges)) if cg.applicable(side, k, cell)]
                 assert cg.edges_from(side, None, cell) == live
-                free = [(k, e) for k, e, _ in cg.successors((cell, FREE, side))]
+                free = [(k, e) for k, e, _, _ in cg.successors((FREE, side), {cell: cell})]
                 assert free == [(k, h.edges[k]) for k in live]
                 for state in range(h.dialect_size):
                     now = ((state + 1) % h.dialect_size, state)
                     st = (now, idle) if side == 0 else (idle, now)
-                    arrows = list(cg.successors((cell, st, side)))
-                    assert [k for k, _, _ in arrows] == \
+                    arrows = list(cg.successors((st, side), {cell: cell}))
+                    assert [k for k, *_ in arrows] == \
                         [k for k in live if h.edges[k].in_state == state]
-                    for k, e, (dst, nst, turn) in arrows:
+                    for k, e, (nst, turn), moved in arrows:
                         assert e is h.edges[k] and e.in_state == state
-                        assert dst == cg.image(side, k, cell) and turn == 1 - side
+                        assert moved == {cell: cg.image(side, k, cell)} and turn == 1 - side
                         assert nst[side] == (now[0], e.out_state)
                         assert nst[1 - side] == idle
+            # a group fires each edge once, on exactly the walks it applies to
+            for state in (None, *range(h.dialect_size)):
+                st = ((state, state), idle) if side == 0 else (idle, (state, state))
+                got = {k: moved for k, _e, _nxt, moved in cg.successors((st, side), group)}
+                want = {}
+                for i, cell in group.items():
+                    for k in cg.edges_from(side, state, cell):
+                        want.setdefault(k, {})[i] = cg.image(side, k, cell)
+                assert got == want and list(got) == sorted(want)
 
 
 def test_seeds_skip_whole_and_partial_blocks():
@@ -238,10 +252,12 @@ def test_seeds_skip_whole_and_partial_blocks():
         partial = set(rng.sample(cells, len(cells) // 3))
         for skip in (set(), whole, partial, whole | partial):
             got = list(cg.seeds(frozenset(skip)))
-            assert [(side, k, cell, node[0]) for side, k, cell, node in got] == \
+            assert [(side, k, cell, dst) for side, k, _node, group in got
+                    for cell, dst in group.items()] == \
                 [a for a in arrows if a[2] not in skip]
-            for side, k, _cell, (_dst, st, turn) in got:
+            for side, k, (st, turn), group in got:
                 e = (f, g)[side].edges[k]
+                assert group
                 assert st[side] == (e.in_state, e.out_state)
                 assert st[1 - side] == (None, None) and turn == 1 - side
 

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gmachines.errors import WrapSplitRequired
 from gmachines.graphings import Weight
 from gmachines.microcosm import (IDENTITY, MicrocosmSpec, Perm,
-                                 TransformationDescriptor, apply, apply_box,
-                                 apply_mset, classify, compose,
+                                 TransformationDescriptor, classify,
                                  decompose_star, member)
 from gmachines.space import MSet, equal_ae
 
@@ -23,43 +22,43 @@ def T(slope=1, offset=0, perm=None, shifts=None):
 
 
 def test_compose_inverse_translations():
-    assert compose(T(offset=1), T(offset=-1)).is_identity()
+    assert T(offset=1).compose(T(offset=-1)).is_identity()
 
 
 def test_compose_affine():
-    c = compose(T(slope=2), T(offset=3))
+    c = T(slope=2).compose(T(offset=3))
     assert c.slope == 2 and c.offset == 6
 
 
 def test_swap_is_involutive():
     p12 = T(perm=Perm({1: 2, 2: 1}))
-    assert compose(p12, p12).is_identity()
+    assert p12.compose(p12).is_identity()
 
 
 def test_inverse_round_trip():
     t = T(slope=3, offset=-2, perm=Perm({1: 2, 2: 3, 3: 1}),
           shifts={2: Fraction(1, 3)})
-    assert compose(t, t.inverse()).is_identity()
-    assert compose(t.inverse(), t).is_identity()
+    assert t.compose(t.inverse()).is_identity()
+    assert t.inverse().compose(t).is_identity()
 
 
 def test_apply_point():
-    assert apply(IDENTITY, Fraction(7)) == (Fraction(7), {})
-    assert apply(T(offset=2), Fraction(1, 2)) == (Fraction(5, 2), {})
+    assert IDENTITY.apply_point(Fraction(7)) == (Fraction(7), {})
+    assert T(offset=2).apply_point(Fraction(1, 2)) == (Fraction(5, 2), {})
     # coordinate shifts wrap around the unit circle
-    x, cs = apply(T(shifts={1: Fraction(1, 2)}), Fraction(0),
-                  {1: Fraction(3, 4)})
+    x, cs = T(shifts={1: Fraction(1, 2)}).apply_point(Fraction(0),
+                                                      {1: Fraction(3, 4)})
     assert cs[1] == Fraction(1, 4)
 
 
 def test_apply_mset_translation():
-    out = apply_mset(T(offset=3), seg(0, 2))
+    out = T(offset=3).apply_mset(seg(0, 2))
     assert equal_ae(out, seg(3, 5))
 
 
 def test_apply_mset_shift_without_wrap():
     src = seg(0, 1, **{"1": ("3/4", 1)})
-    out = apply_mset(T(shifts={1: Fraction(1, 2)}), src)
+    out = T(shifts={1: Fraction(1, 2)}).apply_mset(src)
     assert equal_ae(out, seg(0, 1, **{"1": ("1/4", "1/2")}))
 
 
@@ -68,11 +67,11 @@ def test_shift_straddling_seam():
     t = T(shifts={1: Fraction(1, 2)})
     # the box-level map cannot represent a torn image ...
     with pytest.raises(WrapSplitRequired):
-        apply_box(t, src.boxes[0])
+        t.apply_box(src.boxes[0])
     # ... but the set-level one splits it
     torn = MSet(seg(0, 1, **{"1": (0, "1/4")}).boxes
                 + seg(0, 1, **{"1": ("1/2", 1)}).boxes)
-    assert equal_ae(apply_mset(t, src), torn)
+    assert equal_ae(t.apply_mset(src), torn)
 
 
 def test_classify_translation():
@@ -166,21 +165,21 @@ _POINTS = [(Fraction(1, 5), {1: Fraction(1, 7), 2: Fraction(2, 7),
 
 
 def _same(f, g):
-    return all(apply(f, x, dict(cs)) == apply(g, x, dict(cs))
+    return all(f.apply_point(x, dict(cs)) == g.apply_point(x, dict(cs))
                for x, cs in _POINTS)
 
 
 @given(descriptors(), descriptors(), descriptors())
 @settings(max_examples=60, deadline=None)
 def test_compose_is_associative_pointwise(f, g, h):
-    assert _same(compose(compose(f, g), h), compose(f, compose(g, h)))
+    assert _same(f.compose(g).compose(h), f.compose(g.compose(h)))
 
 
 @given(descriptors())
 @settings(max_examples=60, deadline=None)
 def test_identity_is_neutral(f):
-    assert _same(compose(f, IDENTITY), f)
-    assert _same(compose(IDENTITY, f), f)
+    assert _same(f.compose(IDENTITY), f)
+    assert _same(IDENTITY.compose(f), f)
 
 
 @given(descriptors())
@@ -213,7 +212,7 @@ def normal_descriptors(draw):
 def test_compose_keeps_the_normal_form(f, g):
     # equal keys, not just equal points: a zero, wrapped or unsorted
     # shift entry would break == and hashing
-    got, ref = compose(f, g), ref_compose(f, g)
+    got, ref = f.compose(g), ref_compose(f, g)
     assert got.key() == ref.key()
     assert got == ref and hash(got) == hash(ref)
 
