@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NonComparable, NotInjective, OverlappingSupports
 from .microcosm import TransformationDescriptor
-from .space import (MSet, _int_field, _object_field, contains_ae, equal_ae, rat,
-                    rat_str)
+from .space import (MSet, _int_field, _object_field, _overlay, contains_ae,
+                    equal_ae, rat, rat_str)
 
 __all__ = [
     "Weight",
@@ -190,27 +190,6 @@ def validate(g: GraphingRep, spec) -> list[str]:
     return diags
 
 
-def _class_atoms(sources: list[MSet]) -> list[MSet]:
-    """Overlay of the given sets: disjoint pieces on which membership in
-    each input is constant."""
-    atoms: list[MSet] = []
-    whole = MSet()
-    for s in sources:
-        whole = whole.union(s)
-    atoms = [whole]
-    for s in sources:
-        nxt = []
-        for a in atoms:
-            inside = a.intersect(s)
-            outside = a.difference(s)
-            if not inside.is_empty():
-                nxt.append(inside)
-            if not outside.is_empty():
-                nxt.append(outside)
-        atoms = nxt
-    return atoms
-
-
 def _classes(g: GraphingRep) -> dict:
     out: dict = {}
     for e in g.edges:
@@ -221,13 +200,11 @@ def _classes(g: GraphingRep) -> dict:
 
 
 def _multiplicities_match(fs: list[MSet], gs: list[MSet]) -> bool:
-    atoms = _class_atoms(fs + gs)
-    for a in atoms:
-        mf = sum(1 for s in fs if s.contains(a))
-        mg = sum(1 for s in gs if s.contains(a))
-        if mf != mg:
-            return False
-    return True
+    """Do fs and gs cover every point equally often?  A set in normal
+    form is disjoint, so it covers a point at most once."""
+    n = len(fs)
+    return _overlay([s.boxes for s in fs + gs],
+                    lambda tags: sum(1 if t < n else -1 for t in tags) != 0).is_empty()
 
 
 def refines(f: GraphingRep, g: GraphingRep) -> bool:

@@ -176,7 +176,10 @@ def _canonical_rotation(labels: tuple) -> tuple[tuple, int]:
     """The least rotation of labels, and the offset at which labels sits
     in it: labels == canon[offset:] + canon[:offset]."""
     n = len(labels)
-    i = min(range(n), key=lambda i: labels[i:] + labels[:i])
+    least = min(labels)
+    # the least rotation starts at a least label
+    i = min((i for i in range(n) if labels[i] == least),
+            key=lambda i: labels[i:] + labels[:i])
     return labels[i:] + labels[:i], (n - i) % n
 
 

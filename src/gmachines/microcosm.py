@@ -87,21 +87,7 @@ class Perm:
         return not self._map
 
     def order(self) -> int:
-        seen = set()
-        out = 1
-        for k, _ in self._map:
-            if k in seen:
-                continue
-            n = 0
-            j = k
-            while True:
-                seen.add(j)
-                j = self(j)
-                n += 1
-                if j == k:
-                    break
-            out = math.lcm(out, n)
-        return out
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()

@@ -9,7 +9,11 @@ library.
 
 MSet values are kept in a canonical normal form (a sorted, disjoint slab
 decomposition), so almost-everywhere equality is literal equality of the
-normal forms.
+normal forms.  One tagged sweep computes it: the line and then each cube
+coordinate in order is cut at every endpoint, adjacent slabs with equal
+contents merge, and a cube coordinate left whole is dropped.  Told which
+input sets a kept point must lie in, the same sweep computes differences
+and the multiplicity check of graphings; intersections stay pairwise.
 """
 
 from __future__ import annotations
@@ -85,12 +89,6 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def contains(self, other: "Interval") -> bool:
-        """other is a subset of self (both taken as honest sets)."""
-        if other.is_empty():
-            return True
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def to_json(self) -> list:
         return [rat_str(self.lo), rat_str(self.hi)]
@@ -198,103 +196,52 @@ class Box:
         return f"Box({self.line!r}, {{{cs}}})"
 
 
-def _box_minus(a: Box, b: Box) -> list[Box]:
-    """a minus b as a list of disjoint boxes."""
-    core = a.intersect(b)
-    if core.is_empty():
-        return [a]
-    out = []
-    remaining = a
-    dims: list[int | None] = [None] + [i for i, _ in core.coords]
-    for dim in dims:
-        if dim is None:
-            av, bv = remaining.line, b.line
-        else:
-            av, bv = remaining.coord(dim), b.coord(dim)
-        left = Interval(av.lo, min(av.hi, bv.lo))
-        right = Interval(max(av.lo, bv.hi), av.hi)
-        mid = av.intersect(bv)
-        for part in (left, right):
-            if part.is_empty():
-                continue
-            if dim is None:
-                out.append(Box(part, remaining.coords))
-            else:
-                coords = dict(remaining.coords)
-                coords[dim] = part
-                out.append(Box(remaining.line, coords))
-        if dim is None:
-            remaining = Box(mid, remaining.coords)
-        else:
-            coords = dict(remaining.coords)
-            coords[dim] = mid
-            remaining = Box(remaining.line, coords)
+def _overlay(sets: Sequence[Iterable[Box]], keep) -> "MSet":
+    """The points whose covering sets pass keep, in normal form.
+
+    keep gets the indices of the input box lists that cover a point; it
+    must reject the empty set.  This one sweep serves every operation
+    that needs more than one box: the normal form keeps any covered
+    point, difference keeps {0}, and the multiplicity check in graphings
+    keeps points where its two families disagree.
+    """
+    out = MSet()
+    members = [(i, ((0, b.line),) + b.coords) for i, s in enumerate(sets) for b in s]
+    out.boxes = tuple(Box(cs[0][1], cs[1:]) for cs in _sweep(members, keep))
     return out
 
 
-def _fiber_normal(fibers: list[tuple[tuple[int, Interval], ...]]) -> tuple:
-    """Canonical disjoint decomposition of a union of coordinate boxes.
+def _sweep(members: list, keep) -> tuple:
+    """Sorted, disjoint, canonical pieces of the kept points.
 
-    Input and output are tuples of ((idx, Interval), ...) entries; the
-    output entries are pairwise disjoint and the decomposition is uniquely
-    determined by the union, which is what makes MSet equality literal.
+    members are (tag, constraints) pairs, the constraints a tuple of
+    (axis, Interval) sorted by axis, the line being axis 0.  The least
+    axis any member constrains is cut at every endpoint, and each slab
+    recurses on the members covering it.  Adjacent slabs with equal
+    contents merge, and a cube axis whose only slab is [0,1) is dropped,
+    so the pieces depend on the kept set alone.
     """
-    dims = sorted({i for fib in fibers for i, _ in fib})
-    if not dims:
-        # at least one unconstrained member makes the whole cube
-        return ((),)
-    d = dims[0]
-
-    def get(fib, idx):
-        for i, iv in fib:
-            if i == idx:
-                return iv
-        return UNIT
-
-    def strip(fib, idx):
-        return tuple((i, iv) for i, iv in fib if i != idx)
-
-    pts = sorted({p for fib in fibers for iv in (get(fib, d),) for p in (iv.lo, iv.hi)})
+    axes = [cs[0][0] for _, cs in members if cs]
+    if not axes:
+        return ((),) if keep({t for t, _ in members}) else ()
+    d = min(axes)
+    cut = [(t, cs[0][1], cs[1:]) if cs and cs[0][0] == d else (t, UNIT, cs)
+           for t, cs in members]
+    pts = sorted({p for _, iv, _ in cut for p in (iv.lo, iv.hi)})
     slabs: list[tuple[Fraction, Fraction, tuple]] = []
     for lo, hi in zip(pts, pts[1:]):
-        members = [strip(fib, d) for fib in fibers if get(fib, d).lo <= lo and get(fib, d).hi >= hi]
-        if not members:
+        sub = _sweep([(t, rest) for t, iv, rest in cut
+                      if iv.lo <= lo and hi <= iv.hi], keep)
+        if not sub:
             continue
-        sub = _fiber_normal(members)
         if slabs and slabs[-1][1] == lo and slabs[-1][2] == sub:
             slabs[-1] = (slabs[-1][0], hi, sub)
         else:
             slabs.append((lo, hi, sub))
-    if len(slabs) == 1 and slabs[0][0] == 0 and slabs[0][1] == 1:
+    if d and len(slabs) == 1 and slabs[0][:2] == (0, 1):
         return slabs[0][2]
-    out = []
-    for lo, hi, sub in slabs:
-        for fib in sub:
-            out.append(((d, Interval(lo, hi)),) + fib)
-    return tuple(out)
-
-
-def _normalize(boxes: Iterable[Box]) -> tuple[Box, ...]:
-    boxes = [b for b in boxes if not b.is_empty()]
-    if not boxes:
-        return ()
-    pts = sorted({p for b in boxes for p in (b.line.lo, b.line.hi)})
-    slabs: list[tuple[Fraction, Fraction, tuple]] = []
-    for lo, hi in zip(pts, pts[1:]):
-        members = [b.coords for b in boxes if b.line.lo <= lo and b.line.hi >= hi]
-        if not members:
-            continue
-        fib = _fiber_normal(members)
-        if slabs and slabs[-1][1] == lo and slabs[-1][2] == fib:
-            slabs[-1] = (slabs[-1][0], hi, fib)
-        else:
-            slabs.append((lo, hi, fib))
-    out = []
-    for lo, hi, fib in slabs:
-        for coords in fib:
-            out.append(Box(Interval(lo, hi), coords))
-    out.sort(key=Box.sort_key)
-    return tuple(out)
+    return tuple(((d, Interval(lo, hi)),) + piece
+                 for lo, hi, sub in slabs for piece in sub)
 
 
 class MSet:
@@ -303,7 +250,9 @@ class MSet:
     __slots__ = ("boxes",)
 
     def __init__(self, boxes: Iterable[Box] = ()):
-        self.boxes = _normalize(boxes)
+        boxes = [b for b in boxes if not b.is_empty()]
+        # a Box is already canonical; two or more need the sweep
+        self.boxes = tuple(boxes) if len(boxes) < 2 else _overlay([boxes], bool).boxes
 
     def is_empty(self) -> bool:
         return not self.boxes
@@ -312,29 +261,17 @@ class MSet:
         return sum((b.measure() for b in self.boxes), Fraction(0))
 
     def intersect(self, other: "MSet") -> "MSet":
-        out = []
-        for a in self.boxes:
-            for b in other.boxes:
-                c = a.intersect(b)
-                if not c.is_empty():
-                    out.append(c)
-        return MSet(out)
+        return MSet([a.intersect(b) for a in self.boxes for b in other.boxes])
 
     def union(self, other: "MSet") -> "MSet":
         return MSet(self.boxes + other.boxes)
 
     def difference(self, other: "MSet") -> "MSet":
-        pieces = list(self.boxes)
-        for b in other.boxes:
-            nxt = []
-            for p in pieces:
-                nxt.extend(_box_minus(p, b))
-            pieces = nxt
-        return MSet(pieces)
+        return _overlay([self.boxes, other.boxes], lambda tags: tags == {0})
 
     def contains(self, other: "MSet") -> bool:
         """other is a subset of self up to a null set."""
-        return other.difference(self).measure() == 0
+        return other.difference(self).is_empty()
 
     def to_json(self) -> list:
         return [b.to_json() for b in self.boxes]

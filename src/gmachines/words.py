@@ -55,6 +55,9 @@ class VertexTable:
         if len(set(blocks)) != len(blocks):
             raise ValueError("vertex table blocks must be distinct")
         self._table = {k: int(v) for k, v in table.items()}
+        self._interface = self.mset(*[(s, d) for s in SYMBOLS for d in (IN, OUT)])
+        self._answers = self.mset("a", "r")
+        self._support = self._interface.union(self._answers)
 
     def block(self, vertex) -> int:
         return self._table[vertex]
@@ -68,13 +71,13 @@ class VertexTable:
 
     def interface_mset(self) -> MSet:
         """The six symbol/direction blocks."""
-        return self.mset(*[(s, d) for s in SYMBOLS for d in (IN, OUT)])
+        return self._interface
 
     def answers_mset(self) -> MSet:
-        return self.mset("a", "r")
+        return self._answers
 
     def machine_support(self) -> MSet:
-        return self.interface_mset().union(self.answers_mset())
+        return self._support
 
     def translation(self, src, tgt) -> TransformationDescriptor:
         return TransformationDescriptor.translation(self.block(tgt) - self.block(src))

@@ -269,20 +269,31 @@ def ref_compose(f, g):
     return type(f)(f.slope * g.slope, f.slope * g.offset + f.offset, perm, shifts)
 
 
-# -- measure of a union of boxes --------------------------------------------
+# -- measure of a Boolean combination of boxes ------------------------------
 #
-# Boxes are (line_lo, line_hi, {coord: (lo, hi)}); the measure of the
-# union is computed by slicing every axis at every endpoint that appears
-# and counting covered atoms.
+# Boxes are (line_lo, line_hi, {coord: (lo, hi)}).  Every axis is sliced at
+# every endpoint that appears, so each grid atom lies inside or outside each
+# box as a whole; an atom counts when its per-set cover counts pass keep.
 
 
-def union_measure(boxes, dims):
+def _covers(b, corner):
+    if not (Fraction(b[0]) <= corner[0] < Fraction(b[1])):
+        return False
+    for c in range(1, len(corner)):
+        lo, hi = b[2].get(c, (0, 1))
+        if not (Fraction(lo) <= corner[c] < Fraction(hi)):
+            return False
+    return True
+
+
+def grid_measure(sets, dims, keep):
+    """Measure of the points whose cover counts pass keep: keep gets, per
+    atom, how many boxes of each set in sets cover it."""
+    boxes = [b for s in sets for b in s]
     if not boxes:
         return Fraction(0)
-    axes = []
-    line_cuts = sorted({Fraction(b[0]) for b in boxes}
-                       | {Fraction(b[1]) for b in boxes})
-    axes.append(line_cuts)
+    axes = [sorted({Fraction(b[0]) for b in boxes}
+                   | {Fraction(b[1]) for b in boxes})]
     for c in range(1, dims + 1):
         cuts = {Fraction(0), Fraction(1)}
         for b in boxes:
@@ -293,19 +304,13 @@ def union_measure(boxes, dims):
     total = Fraction(0)
     for idx in product(*(range(len(ax) - 1) for ax in axes)):
         corner = [axes[d][idx[d]] for d in range(dims + 1)]
-        size = Fraction(1)
-        for d in range(dims + 1):
-            size *= axes[d][idx[d] + 1] - axes[d][idx[d]]
-        for b in boxes:
-            if not (Fraction(b[0]) <= corner[0] < Fraction(b[1])):
-                continue
-            ok = True
-            for c in range(1, dims + 1):
-                lo, hi = b[2].get(c, (0, 1))
-                if not (Fraction(lo) <= corner[c] < Fraction(hi)):
-                    ok = False
-                    break
-            if ok:
-                total += size
-                break
+        if keep(tuple(sum(_covers(b, corner) for b in s) for s in sets)):
+            size = Fraction(1)
+            for d in range(dims + 1):
+                size *= axes[d][idx[d] + 1] - axes[d][idx[d]]
+            total += size
     return total
+
+
+def union_measure(boxes, dims):
+    return grid_measure([boxes], dims, lambda counts: counts[0] > 0)

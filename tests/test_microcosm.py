@@ -146,6 +146,15 @@ def test_decompose_star_rebuilds_and_stays_short(p):
     assert len(facs) <= 2 * len(p.support()) if p.support() else facs == []
 
 
+@given(perms())
+@settings(max_examples=50, deadline=None)
+def test_perm_order_is_the_least_identity_power(p):
+    q, n = p, 1
+    while not q.is_identity():
+        q, n = q.compose(p), n + 1
+    assert p.order() == n
+
+
 @st.composite
 def descriptors(draw):
     slope = draw(st.sampled_from([1, 2, Fraction(1, 2)]))

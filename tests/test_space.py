@@ -2,12 +2,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from gmachines.graphings import Edge, GraphingRep, equivalent, refines
+from gmachines.microcosm import TransformationDescriptor
 from gmachines.space import (EMPTY, Box, Interval, MSet, contains_ae,
                              difference, equal_ae, intersect, measure, rat,
                              rat_str, union)
 
 from conftest import seg
-from oracles import union_measure
+from oracles import grid_measure, union_measure
 
 
 def test_disjoint_blocks_intersect_to_nothing():
@@ -127,3 +129,64 @@ def test_measure_matches_grid_oracle(a):
             {idx: (iv.lo, iv.hi) for idx, iv in b.coords})
            for b in a.boxes]
     assert measure(a) == union_measure(raw, dims=2)
+
+
+@st.composite
+def cube_boxes(draw):
+    """Boxes constraining any subset of coordinates 1-3 at once."""
+    lo = draw(_frac)
+    coords = {}
+    for c in draw(st.sets(st.integers(min_value=1, max_value=3))):
+        clo = draw(st.fractions(min_value=0, max_value="3/4",
+                                max_denominator=4))
+        coords[c] = Interval(clo, min(clo + draw(_width), Fraction(1)))
+    return Box(Interval(lo, lo + draw(_width)), coords)
+
+
+def _raw(boxes):
+    return [(b.line.lo, b.line.hi, {i: (iv.lo, iv.hi) for i, iv in b.coords})
+            for b in boxes]
+
+
+@given(st.lists(cube_boxes(), max_size=3), st.lists(cube_boxes(), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_set_algebra_matches_grid_oracle(ra, rb):
+    a, b = MSet(ra), MSet(rb)
+    raw = [_raw(ra), _raw(rb)]
+    # the normal form holds exactly the points of the boxes it was given
+    for s, r in ((a, raw[0]), (b, raw[1])):
+        assert grid_measure([r, _raw(s.boxes)], 3,
+                            lambda c: bool(c[0]) != bool(c[1])) == 0
+    for op, keep in ((intersect, lambda c: c[0] and c[1]),
+                     (difference, lambda c: c[0] and not c[1]),
+                     (union, lambda c: c[0] or c[1])):
+        got = op(a, b)
+        assert measure(got) == grid_measure(raw, 3, keep)
+        assert grid_measure(raw + [_raw(got.boxes)], 3,
+                            lambda c: bool(keep(c)) != bool(c[2])) == 0
+
+
+def _graphing(sources):
+    return GraphingRep(seg(0, 6), 1, [Edge(s, 0, 0, TransformationDescriptor())
+                                      for s in sources])
+
+
+@given(st.lists(st.lists(cube_boxes(), max_size=2).map(MSet),
+                min_size=2, max_size=3),
+       st.lists(st.lists(cube_boxes(), max_size=2).map(MSet), max_size=3),
+       st.sampled_from(["drawn", "resplit", "same"]))
+@settings(max_examples=60, deadline=None)
+def test_multiplicity_matches_oracle_cover_counts(fs, gs, how):
+    if how == "resplit":
+        # 1_a + 1_b == 1_(a|b) + 1_(a&b) pointwise
+        gs = [union(fs[0], fs[1]), intersect(fs[0], fs[1])] + fs[2:]
+    elif how == "same":
+        gs = fs[::-1]
+    n = len(fs)
+    same = grid_measure([_raw(s.boxes) for s in fs + gs], 3,
+                        lambda c: sum(map(bool, c[:n])) != sum(map(bool, c[n:]))) == 0
+    inside = all(any(grid_measure([_raw(s.boxes), _raw(t.boxes)], 3,
+                                  lambda c: c[0] and not c[1]) == 0 for t in gs)
+                 for s in fs if not s.is_empty())
+    assert equivalent(_graphing(fs), _graphing(gs)) == same
+    assert refines(_graphing(fs), _graphing(gs)) == (same and inside)
