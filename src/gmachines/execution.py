@@ -3,13 +3,16 @@
 Two engines live here.  The exact engine enumerates alternating paths as
 shrinking rational sets and works for any maps; it is one breadth-first
 walk, `_exact_walk`, that path listing runs without a cut and general
-plugging runs from outside a cut.  The cell engine applies when every map
-is rigid at some grid: slope one, integer offsets, circle shifts on grid
-lines, coordinate permutations within a bound.  Rigidity is read once, by
-`cell_decompose`, which infers the grid and bound or raises NotCellRigid;
-`plug` takes the cell route exactly when that succeeds.  Rigid maps send
-grid cells to grid cells, so paths become walks on a finite graph of
-cells and plugging terminates by state deduplication.
+plugging runs from outside a cut.  It fires edges as the cell walk does:
+a queue entry is a fired path, an edge is tried on the dialect pair
+before its source is intersected, and the budget counts arrows fired.
+The cell engine applies when every map is rigid at some grid: slope one,
+integer offsets, circle shifts on grid lines, coordinate permutations
+within a bound.  Rigidity is read once, by `cell_decompose`, which infers
+the grid and bound or raises NotCellRigid; `plug` takes the cell route
+exactly when that succeeds.  Rigid maps send grid cells to grid cells, so
+paths become walks on a finite graph of cells and plugging terminates by
+state deduplication.
 
 The cell engine is one walk on a finite product graph.  A node is
 (dialect pair, side to fire); the pair holds, per side, the in-state of
@@ -52,11 +55,9 @@ from .space import Box, Interval, MSet
 
 __all__ = [
     "AlternatingPath",
-    "RestrictedEdge",
     "CellGraph",
     "cell_decompose",
     "alternating_paths",
-    "restrict_path",
     "plug",
     "plug_projects",
     "expansion_cap",
@@ -298,65 +299,54 @@ class AlternatingPath:
         return self.composed.apply_mset(self.source)
 
 
-@dataclass(frozen=True)
-class RestrictedEdge:
-    """A path squeezed to the part living outside a cut."""
-
-    source: MSet
-    in_pair: tuple[int | None, int | None]
-    out_pair: tuple[int | None, int | None]
-    mapd: TransformationDescriptor
-    weight: Weight
-
-
 def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
                 max_len: int | None, budget: int):
     """Breadth-first search of the exact alternating paths of f and g.
 
-    Seeds are the edges' sources, less the cut when there is one.  Every
-    fired edge is recorded as (sides, edges, dialect pair, composed map,
-    weight, image of the piece it fired on); only the image carries on,
-    and with a cut only its part inside the cut.  Returns the records and
-    whether max_len stopped a path that could still go on; raises
-    IterationCapExceeded past the budget of popped expansions.
+    It walks like `CellGraph.successors`, on rational sets in place of
+    cells.  A queue entry is a fired path: the set it carries to the side
+    that fires next, with its dialect pair, composed map, weight, sides and
+    edges.  The seeds are one entry per side, holding that side's sources
+    less the cut when there is one.  A pop tries that side's edges in
+    order: an edge fires when it chains at the pair and its source meets
+    the carried set.  Every fired edge is recorded as (sides, edges,
+    dialect pair, composed map, weight, image of the piece it fired on);
+    only the image carries on, and with a cut only its part inside the
+    cut.  Returns the records and whether max_len stopped a path that
+    could still go on; raises IterationCapExceeded once more than budget
+    arrows have fired.
     """
     pairs = (f, g)
     queue: deque = deque()
-    for side in (0, 1):
-        for e in pairs[side].edges:
-            src = e.source if cut is None else e.source.difference(cut)
-            if not src.is_empty():
-                queue.append((src, side, e, FREE, IDENTITY, ONE, (), ()))
+    for side, h in enumerate(pairs):
+        src = MSet([b for e in h.edges for b in e.source.boxes])
+        queue.append((src if cut is None else src.difference(cut),
+                      side, FREE, IDENTITY, ONE, (), ()))
     steps = []
-    fires = 0
     truncated = False
     while queue:
-        carried, side, e, st, desc, weight, sides, edges = queue.popleft()
-        fires += 1
-        if fires > budget:
-            raise IterationCapExceeded(
-                f"alternating paths still alive after {budget} expansions")
-        # a seed carries exactly its edge's source
-        piece = carried.intersect(e.source) if sides else carried
-        if piece.is_empty():
-            continue
-        st = _chain(st, side, e)
-        if st is None:
-            continue
-        desc = e.mapd.compose(desc)
-        weight = weight * e.weight
-        sides, edges = sides + (side,), edges + (e,)
-        img = e.mapd.apply_mset(piece)
-        steps.append((sides, edges, st, desc, weight, img))
-        carry = img if cut is None else img.intersect(cut)
-        nxt = pairs[1 - side].edges
-        if carry.is_empty() or not nxt:
-            continue
-        if max_len is not None and len(edges) >= max_len:
-            truncated = True
-            continue
-        for e2 in nxt:
-            queue.append((carry, 1 - side, e2, st, desc, weight, sides, edges))
+        carried, side, st, desc, weight, sides, edges = queue.popleft()
+        for e in pairs[side].edges:
+            now = _chain(st, side, e)
+            if now is None:
+                continue
+            piece = carried.intersect(e.source)
+            if piece.is_empty():
+                continue
+            if len(steps) >= budget:
+                raise IterationCapExceeded(
+                    f"alternating paths still alive after {budget} arrows fired")
+            path = (sides + (side,), edges + (e,))
+            fired = (now, e.mapd.compose(desc), weight * e.weight)
+            img = e.mapd.apply_mset(piece)
+            steps.append((*path, *fired, img))
+            carry = img if cut is None else img.intersect(cut)
+            if carry.is_empty() or not pairs[1 - side].edges:
+                continue
+            if max_len is not None and len(path[1]) >= max_len:
+                truncated = True
+                continue
+            queue.append((carry, 1 - side, *fired, *path))
     return steps, truncated
 
 
@@ -373,17 +363,6 @@ def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None
            for sides, edges, st, desc, weight, img in steps]
     out.sort(key=lambda p: (p.length, p.sides))
     return out
-
-
-def restrict_path(path: AlternatingPath, cut: MSet) -> RestrictedEdge | None:
-    """Keep the part of a path that both starts and ends outside the cut."""
-    target = path.composed.apply_mset(path.source)
-    kept_target = target.difference(cut)
-    src = path.source.difference(cut).intersect(
-        path.composed.inverse().apply_mset(kept_target))
-    if src.measure() == 0:
-        return None
-    return RestrictedEdge(src, path.in_pair, path.out_pair, path.composed, path.weight)
 
 
 def _pair_state(st, df_size, dg_size):
@@ -464,7 +443,7 @@ def _plug_general(f, g, cut, cap, max_len):
         steps, truncated = _exact_walk(f, g, cut, max_len, budget)
     except IterationCapExceeded as exc:
         raise NonTerminating(
-            f"plugging did not close off within {budget} expansions") from exc
+            f"plugging did not close off within {budget} fired arrows") from exc
     results: dict = {}
     for _sides, _edges, st, desc, weight, img in steps:
         outside = img.difference(cut)

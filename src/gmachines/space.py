@@ -53,11 +53,16 @@ def rat(value) -> Fraction:
 
 
 def _int_field(value, field: str) -> int:
-    """A JSON field read as an integer, or ValueError naming it."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field!r} must be an integer, got {value!r}") from None
+    """A JSON field read as an integer or an integer string, or ValueError
+    naming it; booleans and fractional numbers are refused, not truncated."""
+    if not isinstance(value, bool):
+        try:
+            n = int(value)
+            if n == value or isinstance(value, str):
+                return n
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{field!r} must be an integer, got {value!r}")
 
 
 def _object_field(value, field: str) -> dict:

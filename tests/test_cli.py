@@ -119,6 +119,10 @@ WRONG_TYPES = {
     "states-null": ("compare", _parity_with(states=None)),
     "state-list": ("compare", _parity_with(states=[["init"], "accept", "reject"])),
     "next-list": ("compare", _parity_with(transition={"next": ["even"]})),
+    "in-fraction": ("measure", _loop_with(edge={"in": 0.5})),
+    "head-fraction": ("compare", _parity_with(transition={"head": 1.7})),
+    "dialect-fraction": ("measure", {**_loop_with(), "dialect": 1.9}),
+    "out-bool": ("measure", _loop_with(edge={"out": True})),
 }
 
 

@@ -12,8 +12,7 @@ from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
 from gmachines.execution import (FREE, _composite, _plug_general,
                                  alternating_paths, cell_decompose,
-                                 cell_path_counts, expansion_cap, plug,
-                                 restrict_path)
+                                 cell_path_counts, expansion_cap, plug)
 from gmachines.graphings import GraphingRep, equivalent
 from gmachines.space import equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
@@ -72,23 +71,6 @@ def test_disjoint_interfaces_stop_at_length_one(seesaw):
 def test_paths_alternate_sides(conveyor, doubler):
     for p in alternating_paths(conveyor, doubler, max_len=5):
         assert all(a != b for a, b in zip(p.sides, p.sides[1:]))
-
-
-def test_restrict_keeps_path_clear_of_cut(conveyor, doubler):
-    paths = alternating_paths(conveyor, doubler, max_len=3)
-    aec = next(p for p in paths
-               if p.length == 3 and equal_ae(p.source, seg(0, "1/2")))
-    r = restrict_path(aec, seg(1, 4))
-    assert equal_ae(r.source, seg(0, "1/2"))
-    assert (r.mapd.slope, r.mapd.offset) == (2, 4)
-
-
-def test_restrict_drops_path_landing_in_cut(conveyor, doubler):
-    paths = alternating_paths(conveyor, doubler, max_len=1)
-    a = next(p for p in paths if equal_ae(p.source, seg(0, 1)))
-    assert restrict_path(a, seg(1, 4)) is None
-    far = restrict_path(a, seg(5, 6))
-    assert equal_ae(far.source, seg(0, 1))
 
 
 def test_plug_matches_frozen_worked_example(conveyor, doubler):
@@ -159,7 +141,7 @@ def test_rigid_plug_refuses_to_truncate_silently():
 def test_spent_budget_raises_on_both_routes(conveyor, doubler):
     # allow_truncation covers max_len only: a spent budget is never an
     # empty composite, on the exact route as on the cell route
-    for cap in (5, 10, 20):
+    for cap in (5, 10, 12):
         with pytest.raises(NonTerminating):
             plug(conveyor, doubler, seg(1, 4), max_len=7,
                  allow_truncation=True, cap=cap)
@@ -169,13 +151,24 @@ def test_spent_budget_raises_on_both_routes(conveyor, doubler):
              allow_truncation=True, cap=1)
 
 
+def test_exact_budget_counts_fired_arrows(conveyor, doubler):
+    # the worked example fires 13 arrows up to length 7; edges that are
+    # tried but do not fire cost nothing
+    with pytest.raises(NonTerminating):
+        plug(conveyor, doubler, seg(1, 4), max_len=7, allow_truncation=True, cap=12)
+    out = plug(conveyor, doubler, seg(1, 4), max_len=7, allow_truncation=True, cap=13)
+    assert len(out.edges) == 3
+    assert out.to_json() == plug(conveyor, doubler, seg(1, 4), max_len=7,
+                                 allow_truncation=True).to_json()
+
+
 def test_plugging_routes_agree(winding_machine, tape_loop_machine):
     cut = DEFAULT_PSI.interface_mset()
     small = ["", "1", "01", "110"]
     for m, words in ((automaton_to_machine(parity_automaton()),
                       ["", "0", "1", "0110", "10101"]),
                      (automaton_to_machine(zeros_ones_automaton()),
-                      ["", "01", "0011", "0101", "10"]),
+                      ["", "01", "0011", "0101", "10", "000111", "00001111"]),
                      (winding_machine, small), (tape_loop_machine, small)):
         for w in words:
             rep = representation(w)
