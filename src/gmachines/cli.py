@@ -73,6 +73,17 @@ def _emit(data, path: str | None = None) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A length or step count: an integer of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return n
+
+
 def _show(w: str) -> str:
     return w if w else "(empty)"
 
@@ -229,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="automaton verdicts against its machine")
     p.add_argument("automaton")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_count, default=4)
     common(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("roundtrip", help="compare a compiled machine's extraction")
     p.add_argument("automaton")
     p.add_argument("--mode", choices=("preamble", "verbatim"), default="preamble")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_count, default=4)
     common(p)
     p.set_defaults(fn=cmd_roundtrip)
 
@@ -249,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="count alternating paths of two graphings")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_count, default=8)
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("exec", help="compose two graphings along a cut")
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--cut", required=True,
                    help="cut as inline JSON or @file")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_count, default=None)
     p.set_defaults(fn=cmd_exec)
 
     p = sub.add_parser("measure", help="pair two graphings")
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correspond", help="runs of an automaton against paths")
     p.add_argument("automaton")
     p.add_argument("--word", required=True)
-    p.add_argument("--max-steps", type=int, default=12)
+    p.add_argument("--max-steps", type=_count, default=12)
     common(p)
     p.set_defaults(fn=cmd_correspond)
 

@@ -4,8 +4,10 @@ Two engines live here.  The exact engine enumerates alternating paths as
 shrinking rational sets and works for any maps; it is one breadth-first
 walk, `_exact_walk`, that path listing runs without a cut and general
 plugging runs from outside a cut.  It fires edges as the cell walk does:
-a queue entry is a fired path, an edge is tried on the dialect pair
-before its source is intersected, and the budget counts arrows fired.
+a queue entry is a fired path, an edge is tried only where a slab lookup
+says its source can meet the carried set, it is tried on the dialect
+pair before its source is intersected, and the budget counts arrows
+fired.
 The cell engine applies when every map is rigid at some grid: slope one,
 integer offsets, circle shifts on grid lines, coordinate permutations
 within a bound.  Rigidity is read once, by `cell_decompose`, which infers
@@ -36,6 +38,7 @@ one side is replicated over that side's states.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +90,26 @@ Cell = tuple[int, tuple[int, ...]]
 FREE = ((None, None), (None, None))
 
 
+def _slab_table(items) -> tuple[list, list[list]]:
+    """Cut an axis at every endpoint of items (payload, lo, hi), given in
+    order: (cuts, slabs), where slabs[i] lists, in item order and without
+    repeats, the payloads whose range covers [cuts[i], cuts[i+1]).  One
+    pass over the items, each bisected to its run of slabs."""
+    cuts = sorted({p for _x, lo, hi in items for p in (lo, hi)})
+    slabs: list[list] = [[] for _ in cuts[1:]]
+    for x, lo, hi in items:
+        for i in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
+            if not slabs[i] or slabs[i][-1] != x:
+                slabs[i].append(x)
+    return cuts, slabs
+
+
+def _slabs_meeting(table, lo, hi) -> list[list]:
+    """The slabs of a table that meet [lo, hi), in order."""
+    cuts, slabs = table
+    return slabs[max(bisect_right(cuts, lo) - 1, 0):bisect_left(cuts, hi)]
+
+
 def _chain(st, side: int, e: Edge):
     """Fire edge e of one side on a dialect pair: the new pair, or None
     when e does not chain at that side's current out-state."""
@@ -107,10 +130,13 @@ class CellGraph:
     every graphing maps cells onto cells, so walks move in groups
     {start cell: cell}, one per label sequence.  Arrows are computed on
     demand: the graph only stores, per edge, which cells its source
-    covers and how the map moves a cube, indexed by side, block and
-    in-state, and under in-state None for a side that may bind any.
-    Built by `cell_decompose`, which reads the grid and the coordinate
-    bound off the same edges.
+    covers and how the map moves a cube.  `edges_from` finds the edges
+    firing at a cell by slab lookup.  Per side, block and in-state (and
+    under in-state None for a side that may bind any), coordinate 1 is cut
+    at every endpoint of the sources there, each slab listing the edges
+    covering it (`_slab_table`, built on first use); only the edges on the
+    cell's slab are tried.  Built by `cell_decompose`, which reads the
+    grid and the coordinate bound off the same edges.
     """
 
     def __init__(self, gs: Sequence[GraphingRep], grid: int, bound: int):
@@ -118,14 +144,19 @@ class CellGraph:
         self.n = grid
         self.N = bound
         self._edge_info: dict[tuple[int, int], dict] = {}
-        self._index: dict[tuple[int, int, int], list[int]] = {}
+        # (side, in-state, block) -> (edge, coordinate-1 range) per pattern;
+        # each key's slab table is built when a lookup first needs it
+        self._spans: dict[tuple[int, int | None, int], list] = {}
+        self._index: dict[tuple[int, int | None, int], tuple] = {}
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
                 info = self._prepare(e)
                 self._edge_info[(side, k)] = info
-                for blk in {b for lo, hi, _ in info["patterns"] for b in range(lo, hi)}:
-                    for state in (e.in_state, None):
-                        self._index.setdefault((side, state, blk), []).append(k)
+                for lo, hi, ranges in info["patterns"]:
+                    span = (k, *ranges.get(1, (0, self.n)))
+                    for blk in range(lo, hi):
+                        for state in (e.in_state, None):
+                            self._spans.setdefault((side, state, blk), []).append(span)
 
     def _prepare(self, e: Edge) -> dict:
         d = e.mapd
@@ -217,13 +248,20 @@ class CellGraph:
 
     def edges_from(self, side: int, state: int | None, cell: Cell) -> list[int]:
         """Edges of a side firing at a cell from a dialect state, in order;
-        state None admits every in-state."""
-        blk, _ = cell
-        out = []
-        for k in self._index.get((side, state, blk), ()):
-            if self.applicable(side, k, cell):
-                out.append(k)
-        return out
+        state None admits every in-state.  Only the edges listed on the
+        cell's coordinate-1 slab of its key are tried."""
+        blk, cube = cell
+        key = (side, state, blk)
+        table = self._index.get(key)
+        if table is None:
+            if key not in self._spans:
+                return []
+            table = self._index[key] = _slab_table(self._spans[key])
+        if not cube:
+            # bound 0: the one slab is the whole block, which each listed edge covers
+            return list(table[1][0])
+        return [k for ks in _slabs_meeting(table, cube[0], cube[0] + 1) for k in ks
+                if self.applicable(side, k, cell)]
 
     def seeds(self, skip: frozenset = frozenset()):
         """Every edge fired from the free pair, as (side, k, node, cells):
@@ -299,6 +337,26 @@ class AlternatingPath:
         return self.composed.apply_mset(self.source)
 
 
+def _source_index(g: GraphingRep):
+    """Where the edges' sources lie: a slab table of the line whose slabs
+    are slab tables of coordinate 1, each slab listing edge numbers."""
+    cuts, slabs = _slab_table([((k, b), b.line.lo, b.line.hi)
+                               for k, e in enumerate(g.edges) for b in e.source.boxes])
+    return cuts, [_slab_table([(k, b.coord(1).lo, b.coord(1).hi) for k, b in slab])
+                  for slab in slabs]
+
+
+def _edges_meeting(index, m: MSet) -> list[int]:
+    """The edges, in order, listed on a slab that meets a box of m."""
+    hits: set[int] = set()
+    for b in m.boxes:
+        c1 = b.coord(1)
+        for inner in _slabs_meeting(index, b.line.lo, b.line.hi):
+            for ks in _slabs_meeting(inner, c1.lo, c1.hi):
+                hits.update(ks)
+    return sorted(hits)
+
+
 def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
                 max_len: int | None, budget: int):
     """Breadth-first search of the exact alternating paths of f and g.
@@ -307,9 +365,11 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
     cells.  A queue entry is a fired path: the set it carries to the side
     that fires next, with its dialect pair, composed map, weight, sides and
     edges.  The seeds are one entry per side, holding that side's sources
-    less the cut when there is one.  A pop tries that side's edges in
-    order: an edge fires when it chains at the pair and its source meets
-    the carried set.  Every fired edge is recorded as (sides, edges,
+    less the cut when there is one.  A pop finds that side's edges by slab
+    lookup (`_source_index`): it tries, in order, those listed on a line
+    and coordinate-1 slab that meets a box of the carried set.  An edge
+    fires when it chains at the pair and its source meets the carried set.
+    Every fired edge is recorded as (sides, edges,
     dialect pair, composed map, weight, image of the piece it fired on);
     only the image carries on, and with a cut only its part inside the
     cut.  Returns the records and whether max_len stopped a path that
@@ -317,6 +377,7 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
     arrows have fired.
     """
     pairs = (f, g)
+    index = [_source_index(h) for h in pairs]
     queue: deque = deque()
     for side, h in enumerate(pairs):
         src = MSet([b for e in h.edges for b in e.source.boxes])
@@ -326,7 +387,8 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
     truncated = False
     while queue:
         carried, side, st, desc, weight, sides, edges = queue.popleft()
-        for e in pairs[side].edges:
+        for k in _edges_meeting(index[side], carried):
+            e = pairs[side].edges[k]
             now = _chain(st, side, e)
             if now is None:
                 continue

@@ -51,7 +51,8 @@ class Perm:
 
     @classmethod
     def identity(cls) -> "Perm":
-        return cls()
+        """The identity, one shared instance."""
+        return _IDENTITY_PERM
 
     @classmethod
     def transposition(cls, i: int, j: int) -> "Perm":
@@ -123,6 +124,9 @@ class Perm:
         if not self._map:
             return "Perm.identity()"
         return f"Perm({dict(self._map)!r})"
+
+
+_IDENTITY_PERM = Perm()
 
 
 def _frac_part(x: Fraction) -> Fraction:

@@ -55,6 +55,10 @@ class VertexTable:
         if len(set(blocks)) != len(blocks):
             raise ValueError("vertex table blocks must be distinct")
         self._table = {k: int(v) for k, v in table.items()}
+        self._sets = {v: MSet([Box(Interval(k, k + 1))]) for v, k in self._table.items()}
+        # one translation per difference of blocks
+        self._moves = {b - a: TransformationDescriptor.translation(b - a)
+                       for a in self._table.values() for b in self._table.values()}
         self._interface = self.mset(*[(s, d) for s in SYMBOLS for d in (IN, OUT)])
         self._answers = self.mset("a", "r")
         self._support = self._interface.union(self._answers)
@@ -67,6 +71,8 @@ class VertexTable:
         return Interval(k, k + 1)
 
     def mset(self, *vertices) -> MSet:
+        if len(vertices) == 1:
+            return self._sets[vertices[0]]
         return MSet([Box(self.interval(v)) for v in vertices])
 
     def interface_mset(self) -> MSet:
@@ -80,7 +86,7 @@ class VertexTable:
         return self._support
 
     def translation(self, src, tgt) -> TransformationDescriptor:
-        return TransformationDescriptor.translation(self.block(tgt) - self.block(src))
+        return self._moves[self.block(tgt) - self.block(src)]
 
     def items(self):
         return dict(self._table)
@@ -173,6 +179,10 @@ def promote(g: GraphingRep) -> GraphingRep:
     """
     n = g.dialect_size
     edges = []
+    # each distinct shift, and its composite with each map, built once;
+    # maps are told apart by identity, as g holds them for the whole call
+    shifts: dict[int, TransformationDescriptor] = {}
+    moves: dict[tuple, TransformationDescriptor] = {}
     for k, e in enumerate(g.edges):
         if e.mapd.perm(1) != 1 or e.mapd.shift(1) != 0:
             raise PairingRequired(f"edge {k} already acts on coordinate 1")
@@ -182,9 +192,13 @@ def promote(g: GraphingRep) -> GraphingRep:
             coords = dict(b.coords)
             coords[1] = b.coord(1).intersect(col)
             boxes.append(Box(b.line, coords))
-        shift = TransformationDescriptor.coordinate_shift(
-            1, Fraction(e.out_state - e.in_state, n))
-        edges.append(Edge(MSet(boxes), 0, 0, shift.compose(e.mapd), e.weight))
+        step = e.out_state - e.in_state
+        if step not in shifts:
+            shifts[step] = TransformationDescriptor.coordinate_shift(1, Fraction(step, n))
+        key = (step, id(e.mapd))
+        if key not in moves:
+            moves[key] = shifts[step].compose(e.mapd)
+        edges.append(Edge(MSet(boxes), 0, 0, moves[key], e.weight))
     return GraphingRep(g.support, 1, edges)
 
 

@@ -100,23 +100,47 @@ def tape_loop_machine():
     return Machine(GraphingRep(psi.machine_support(), 3, edges), 3, psi)
 
 
+def _wide_source(rng, grid, bound, lo, hi):
+    """One to three grid-aligned boxes within blocks [lo, hi), each over
+    one or more blocks and over one or more cells on coordinates 1 and 2."""
+    boxes = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(lo, hi)
+        b = rng.randrange(a + 1, hi + 1)
+        coords = {}
+        for c in range(1, min(bound, 2) + 1):
+            if rng.random() < 0.7:
+                i = rng.randrange(grid)
+                coords[str(c)] = (Fraction(i, grid),
+                                  Fraction(rng.randrange(i + 1, grid + 1), grid))
+        boxes.extend(seg(a, b, **coords).boxes)
+    return MSet(boxes)
+
+
 def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
-                      dialect=2, flag_rate=0.4):
+                      dialect=2, flag_rate=0.4, wide=False):
     """A pair of cell-rigid, measure-preserving graphings on a shared
     support, with grid-aligned sources, block translations, optional
-    coordinate swaps and 1/grid shifts, and a sprinkling of flags."""
+    coordinate swaps and 1/grid shifts, and a sprinkling of flags.  A
+    source is one cell wide on at most one coordinate and one block long;
+    with wide, it is made by _wide_source over one or two blocks."""
     support = MSet([b for blk in blocks for b in seg(blk, blk + 1).boxes])
 
     def one_graphing():
         out = []
         for _ in range(edges_each):
-            src = rng.choice(blocks)
-            dst = rng.choice(blocks)
-            coords = {}
-            if rng.random() < 0.5:
+            span = rng.randint(1, 2) if wide else 1
+            src = rng.choice(blocks[:len(blocks) - span + 1])
+            dst = rng.choice(blocks[:len(blocks) - span + 1])
+            if wide:
+                source = _wide_source(rng, grid, bound, src, src + span)
+            elif rng.random() < 0.5:
                 c = rng.randrange(1, bound + 1)
                 j = rng.randrange(grid)
-                coords[str(c)] = (Fraction(j, grid), Fraction(j + 1, grid))
+                source = seg(src, src + 1,
+                             **{str(c): (Fraction(j, grid), Fraction(j + 1, grid))})
+            else:
+                source = seg(src, src + 1)
             perm = Perm({1: 2, 2: 1}) if rng.random() < 0.3 else Perm()
             shifts = {}
             if rng.random() < 0.4:
@@ -125,7 +149,7 @@ def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
             d = TransformationDescriptor(offset=Fraction(dst - src),
                                          perm=perm, shifts=shifts)
             w = Weight(1, 1 if rng.random() < flag_rate else 0)
-            out.append(Edge(seg(src, src + 1, **coords), rng.randrange(dialect),
+            out.append(Edge(source, rng.randrange(dialect),
                             rng.randrange(dialect), d, w))
         return GraphingRep(support, dialect, out)
 

@@ -182,6 +182,32 @@ def ref_arrows(cells):
             for cell in cells.source_cells(side, k)]
 
 
+# -- the edges that fire at a cell --------------------------------------------
+#
+# Read off the source cells of every edge and its in-state alone: no
+# `applicable`, no index.
+
+
+def ref_source_lists(cells, side):
+    """{cell: [(k, in-state)]} over every source cell of a side's edges,
+    in edge order.  `cells` is a cell decomposition: its graphings gs and
+    source_cells(side, k)."""
+    lists = {}
+    for k, e in enumerate(cells.gs[side].edges):
+        for cell in cells.source_cells(side, k):
+            lists.setdefault(cell, []).append((k, e.in_state))
+    return lists
+
+
+def ref_edges_from(cells, side, state, cell, lists=None):
+    """The edges of a side whose source holds cell, in order, of in-state
+    state (any for None); lists, when given, is ref_source_lists(cells,
+    side), read instead of recomputed."""
+    if lists is None:
+        lists = ref_source_lists(cells, side)
+    return [k for k, s in lists.get(cell, ()) if state in (None, s)]
+
+
 # -- flagged circuits over the full product ----------------------------------
 #
 # Nodes are (cell, state of f, state of g, side to fire) over every dialect

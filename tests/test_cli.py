@@ -362,3 +362,30 @@ def test_reports_are_reproducible(capsys):
 def test_unknown_subcommand_errors(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "parity", "--max-len", "-1"],
+    ["roundtrip", "parity", "--max-len", "-2"],
+    ["correspond", "parity", "--word", "01", "--max-steps", "-1"],
+    ["paths", "left.json", "right.json", "--max-len", "-1"],
+    ["exec", "left.json", "right.json", "--cut", "[]", "--max-len", "-3"],
+])
+def test_negative_lengths_exit_two(capsys, argv):
+    # these used to report "0 words", "languages agree up to length -2"
+    # or "bijection" and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"expected an integer of at least 0, got '{argv[-1]}'" in err
+
+
+def test_zero_lengths_stay_valid(capsys):
+    assert run(capsys, "compare", "parity", "--max-len", "0") == \
+        (0, "word automaton machine agree\n(empty) pass pass yes\n"
+            "1 words, 0 disagreements\n", "")
+    assert run(capsys, "roundtrip", "parity", "--max-len", "0")[0] == 0
+    assert run(capsys, "correspond", "parity", "--word", "01",
+               "--max-steps", "0")[0] == 0

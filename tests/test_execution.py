@@ -7,18 +7,20 @@ import random
 
 import pytest
 
+from gmachines import cli, execution
 from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
-from gmachines.execution import (FREE, _composite, _plug_general,
+from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
                                  alternating_paths, cell_decompose,
                                  cell_path_counts, expansion_cap, plug)
-from gmachines.graphings import GraphingRep, equivalent
-from gmachines.space import equal_ae, measure
+from gmachines.graphings import GraphingRep, Weight, equivalent
+from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import brute_paths, brute_plug, ref_arrows
+from oracles import (brute_paths, brute_plug, ref_arrows, ref_edges_from,
+                     ref_source_lists)
 
 
 def _pair_raw(conveyor, doubler):
@@ -231,6 +233,97 @@ def test_any_state_index_and_successors_chain():
                     for k in cg.edges_from(side, state, cell):
                         want.setdefault(k, {})[i] = cg.image(side, k, cell)
                 assert got == want and list(got) == sorted(want)
+
+
+def _series_shaped_pairs(rng):
+    """Bound-0 pairs of the series benchmark's shapes, blocks drawn by rng:
+    the one-block loop pair, and pairs with one (cycle) or two (branch)
+    block translations leaving each block on each side."""
+    half = Weight(Fraction(1, 2), 1)
+    pairs = [(GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, half)]),
+              GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, Weight(Fraction(1, 2)))]))]
+    for blocks, per in ((3, 1), (4, 1), (3, 2), (4, 2)):
+        def one_side():
+            return GraphingRep(seg(0, blocks), 1, [
+                line_edge(b, b + 1, 1, t - b, Weight(Fraction(1, 32), rng.randrange(2)))
+                for b in range(blocks) for t in rng.sample(range(blocks), per)])
+        pairs.append((one_side(), one_side()))
+    return pairs
+
+
+def _assert_edges_from_matches_sources(cg):
+    """edges_from against ref_edges_from on every side, for state None and
+    every state of the side's dialect, at every cell of the blocks the
+    sources touch and one block either side."""
+    blocks = [cell[0] for *_, cell, _dst in ref_arrows(cg)]
+    cubes = list(product(range(cg.n), repeat=cg.N))
+    for side, h in enumerate(cg.gs):
+        lists = ref_source_lists(cg, side)
+        for state in (None, *range(h.dialect_size)):
+            for blk in range(min(blocks) - 1, max(blocks) + 2):
+                for cube in cubes:
+                    cell = (blk, cube)
+                    assert cg.edges_from(side, state, cell) == \
+                        ref_edges_from(cg, side, state, cell, lists), (side, state, cell)
+
+
+def test_edges_from_matches_the_source_cells():
+    rng = random.Random(41)
+    for i in range(30):
+        f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], dialect=(2, 3)[i % 2],
+                                 blocks=(0, 1, 2, 3), edges_each=5, wide=True)
+        _assert_edges_from_matches_sources(cell_decompose([f, g]))
+    for f, g in _series_shaped_pairs(rng):
+        cg = cell_decompose([f, g])
+        assert cg.N == 0
+        _assert_edges_from_matches_sources(cg)
+    rep = representation("0110100110010111")
+    for a in (parity_automaton(), zeros_ones_automaton()):
+        m = automaton_to_machine(a)
+        _assert_edges_from_matches_sources(cell_decompose([m.graphing, rep]))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cell_walk_tries_at_most_two_edges_per_arrow(monkeypatch, capsys):
+    # the word puts one edge per tape position on a block: a scan of the
+    # block's edges would try about one per position for each arrow
+    counts = Counter()
+    for name in ("applicable", "image"):
+        _count_calls(monkeypatch, CellGraph, name, counts)
+    assert cli.main(["decide", "parity", "0110" * 64]) == 0
+    assert capsys.readouterr().out == "pass\n"
+    assert counts["image"] > 1000
+    assert counts["applicable"] <= 2 * counts["image"]
+
+
+def test_exact_walk_intersections_per_arrow_stay_flat(monkeypatch):
+    # a pop that intersected every word edge would make this ratio grow
+    # with the word
+    m = automaton_to_machine(zeros_ones_automaton())
+    walk = execution._exact_walk
+    ratio = {}
+    for n in (8, 32):
+        counts = Counter()
+        _count_calls(monkeypatch, MSet, "intersect", counts)
+
+        def counted_walk(*args):
+            steps, truncated = walk(*args)
+            counts["arrows"] += len(steps)
+            return steps, truncated
+        monkeypatch.setattr(execution, "_exact_walk", counted_walk)
+        rep = representation("0" * (n // 2) + "1" * (n // 2))
+        _plug_general(m.graphing, rep, DEFAULT_PSI.interface_mset(), 10 ** 12, None)
+        monkeypatch.undo()
+        ratio[n] = Fraction(counts["intersect"], counts["arrows"])
+    assert ratio[32] <= ratio[8]
 
 
 def test_seeds_skip_whole_and_partial_blocks():
