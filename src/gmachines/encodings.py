@@ -197,6 +197,8 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
     departures, landings, mids, silents = [], [], [], []
     for e in m.graphing.edges:
         parts = _edge_parts(e, rev)
+        if parts[2] > n:
+            raise NotEssential(f"edge swaps coordinate {parts[2]} beyond headBound {n}")
         src_key, tgt_key = parts[0], parts[1]
         if src_key == "a" or tgt_key == "a":
             continue
@@ -422,9 +424,7 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
     mismatches: list[str] = []
     profiles: dict[str, dict[int, int]] = {}
     for lab in ("r", "a"):
-        pool = [c for c in cg.mset_cells(psi.mset(lab), f"root {lab}")
-                if all(x == 0 for x in c[1])]
-        root = pool[0]
+        root = (psi.block(lab), (0,) * cg.N)
         seen: dict[tuple, tuple] = {}
         mapped: dict[int, int] = {}
         for tr in runs:

@@ -21,12 +21,15 @@ The cell engine is one walk on a finite product graph.  A node is
 that side's first edge and its current out-state, both None while the
 side has not fired.  Rigid maps act on cells as a group, so a walk's
 node, map and weight depend only on its labels: the walks sharing them
-move as one group {start cell: cell}.  `_chain` fires an edge on the
-pair, and is also the exact engine's dialect bookkeeping.  `seeds` fires
-every edge from the free pair; `successors` lets the side whose turn it
-is fire an edge chaining at its out-state, or any edge while still free.
-Plugging, `walk_counts` and the circuit listing of the measurement
-module are searches over this graph.
+move as one group {start cell: cell}.  Every set the walk reads, each
+edge's source and the cut, is read once into boxes of grid indices
+(`CellGraph.grid_boxes`), so whether a cell lies in one is a range test
+(`_covers`) and the cut is never listed cell by cell.  `_chain` fires an
+edge on the pair, and is also the exact engine's dialect bookkeeping.
+`seeds` fires every edge from the free pair; `successors` lets the side
+whose turn it is fire an edge chaining at its out-state, or any edge
+while still free.  Plugging, `walk_counts` and the circuit listing of
+the measurement module are searches over this graph.
 
 Plugging two graphings along a cut region composes every alternating path
 that starts outside the cut, travels inside it, and exits; the composite
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -77,12 +80,12 @@ def expansion_cap(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     raw = os.environ.get(ENV_CAP)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_CAP
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 Cell = tuple[int, tuple[int, ...]]
@@ -123,14 +126,31 @@ def _chain(st, side: int, e: Edge):
     return (now, st[1]) if side == 0 else (st[0], now)
 
 
+def _covers(boxes, cell: Cell) -> bool:
+    """Does one of the grid boxes (block lo, block hi, ranges) hold cell?"""
+    blk, cube = cell
+    for lo, hi, ranges in boxes:
+        if lo <= blk < hi:
+            for (rlo, rhi), x in zip(ranges, cube):
+                if not rlo <= x < rhi:
+                    break
+            else:
+                return True
+    return False
+
+
 class CellGraph:
     """Finite cell structure of a family of rigid graphings.
 
     A cell is a unit line block crossed with a grid cube; every edge of
     every graphing maps cells onto cells, so walks move in groups
-    {start cell: cell}, one per label sequence.  Arrows are computed on
-    demand: the graph only stores, per edge, which cells its source
-    covers and how the map moves a cube.  `edges_from` finds the edges
+    {start cell: cell}, one per label sequence.  Every set the engine
+    reads, an edge's source or a cut, is read once into grid boxes
+    (`grid_boxes`): a run of blocks and one range of grid indices per
+    coordinate, so membership is a range test (`_covers`).  Arrows are
+    computed on demand: the graph only stores, per edge, its source boxes,
+    its block offset, and, per coordinate of the image, the coordinate it
+    reads and the grid steps it shifts by.  `edges_from` finds the edges
     firing at a cell by slab lookup.  Per side, block and in-state (and
     under in-state None for a side that may bind any), coordinate 1 is cut
     at every endpoint of the sources there, each slab listing the edges
@@ -143,36 +163,57 @@ class CellGraph:
         self.gs = list(gs)
         self.n = grid
         self.N = bound
-        self._edge_info: dict[tuple[int, int], dict] = {}
-        # (side, in-state, block) -> (edge, coordinate-1 range) per pattern;
+        # per side and edge: (source boxes, block offset, moves), where
+        # moves[i] = (j, s) puts cube[j] + s (mod n) at coordinate i + 1
+        self._edges: list[list[tuple]] = []
+        # (side, in-state, block) -> (edge, coordinate-1 range) per box;
         # each key's slab table is built when a lookup first needs it
         self._spans: dict[tuple[int, int | None, int], list] = {}
         self._index: dict[tuple[int, int | None, int], tuple] = {}
+        fixed = tuple((c, 0) for c in range(bound))
         for side, g in enumerate(self.gs):
+            rules = []
             for k, e in enumerate(g.edges):
-                info = self._prepare(e)
-                self._edge_info[(side, k)] = info
-                for lo, hi, ranges in info["patterns"]:
-                    span = (k, *ranges.get(1, (0, self.n)))
+                d = e.mapd
+                moves = fixed  # shared by the edges that move no coordinate
+                if d.shifts or not d.perm.is_identity():
+                    moves = list(fixed)
+                    for c in d.perm.support():
+                        moves[d.perm(c) - 1] = (c - 1, 0)
+                    for i, lam in d.shifts:
+                        moves[i - 1] = (moves[i - 1][0], int(lam * grid))
+                    moves = tuple(moves)
+                boxes = self.grid_boxes(e.source, "edge source")
+                rules.append((boxes, int(d.offset), moves))
+                for lo, hi, ranges in boxes:
+                    span = (k, *(ranges[0] if ranges else (0, grid)))
                     for blk in range(lo, hi):
                         for state in (e.in_state, None):
                             self._spans.setdefault((side, state, blk), []).append(span)
-
-    def _prepare(self, e: Edge) -> dict:
-        d = e.mapd
-        patterns = []
-        for b in e.source.boxes:
-            ranges = {idx: (int(iv.lo * self.n), int(iv.hi * self.n))
-                      for idx, iv in b.coords}
-            patterns.append((int(b.line.lo), int(b.line.hi), ranges))
-        return {
-            "offset": int(d.offset),
-            "perm": d.perm,
-            "shifts": {idx: int(lam * self.n) for idx, lam in d.shifts},
-            "patterns": patterns,
-        }
+            self._edges.append(rules)
 
     # -- geometry of cells -------------------------------------------------
+
+    def grid_boxes(self, m: MSet, what: str = "set") -> list[tuple]:
+        """A set as boxes of grid indices, (block lo, block hi, one (lo, hi)
+        range per coordinate); NotCellRigid when it is off the grid."""
+        n = self.n
+        full = ((0, n),) * self.N
+        out = []
+        for b in m.boxes:
+            lo, hi = b.line.lo, b.line.hi
+            if lo.denominator != 1 or hi.denominator != 1:
+                raise NotCellRigid(f"{what}: block [{lo},{hi}) not integral")
+            ranges = list(full)
+            for idx, iv in b.coords:
+                if idx > self.N:
+                    raise NotCellRigid(f"{what}: coordinate {idx} beyond bound {self.N}")
+                a, z = iv.lo * n, iv.hi * n
+                if a.denominator != 1 or z.denominator != 1:
+                    raise NotCellRigid(f"{what}: coordinate {idx} off the 1/{n} grid")
+                ranges[idx - 1] = (a.numerator, z.numerator)
+            out.append((lo.numerator, hi.numerator, tuple(ranges)))
+        return out
 
     def cell_mset(self, cell: Cell) -> MSet:
         blk, cube = cell
@@ -185,66 +226,25 @@ class CellGraph:
     def cell_volume(self) -> Fraction:
         return Fraction(1, self.n) ** self.N
 
-    def mset_cells(self, m: MSet, what: str = "set") -> frozenset[Cell]:
-        """Decompose a set into cells exactly, or complain."""
-        cells = set()
-        for b in m.boxes:
-            if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
-                raise NotCellRigid(f"{what}: block [{b.line.lo},{b.line.hi}) not integral")
-            ranges = []
-            for c in range(1, self.N + 1):
-                iv = b.coord(c)
-                lo, hi = iv.lo * self.n, iv.hi * self.n
-                if lo.denominator != 1 or hi.denominator != 1:
-                    raise NotCellRigid(f"{what}: coordinate {c} off the 1/{self.n} grid")
-                ranges.append(range(int(lo), int(hi)))
-            for idx, _ in b.coords:
-                if idx > self.N:
-                    raise NotCellRigid(f"{what}: coordinate {idx} beyond bound {self.N}")
-            for blk in range(int(b.line.lo), int(b.line.hi)):
-                for cube in iproduct(*ranges):
-                    cells.add((blk, cube))
-        return frozenset(cells)
-
     # -- arrows ------------------------------------------------------------
 
     def source_cells(self, side: int, k: int, omit=()) -> Iterable[Cell]:
         """Cells of an edge's source in order, outside the blocks in omit."""
-        info = self._edge_info[(side, k)]
-        for lo, hi, ranges in info["patterns"]:
-            dims = [range(*ranges.get(c, (0, self.n))) for c in range(1, self.N + 1)]
+        for lo, hi, ranges in self._edges[side][k][0]:
+            dims = [range(rlo, rhi) for rlo, rhi in ranges]
             for blk in range(lo, hi):
-                if blk in omit:
-                    continue
-                for cube in iproduct(*dims):
-                    yield (blk, cube)
+                if blk not in omit:
+                    for cube in iproduct(*dims):
+                        yield blk, cube
 
     def applicable(self, side: int, k: int, cell: Cell) -> bool:
-        blk, cube = cell
-        info = self._edge_info[(side, k)]
-        for lo, hi, ranges in info["patterns"]:
-            if not (lo <= blk < hi):
-                continue
-            ok = True
-            for c in range(1, self.N + 1):
-                rlo, rhi = ranges.get(c, (0, self.n))
-                if not (rlo <= cube[c - 1] < rhi):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        return _covers(self._edges[side][k][0], cell)
 
     def image(self, side: int, k: int, cell: Cell) -> Cell:
         blk, cube = cell
-        info = self._edge_info[(side, k)]
-        perm = info["perm"]
-        moved = list(cube)
-        for c in range(1, self.N + 1):
-            moved[perm(c) - 1] = cube[c - 1]
-        for idx, step in info["shifts"].items():
-            moved[idx - 1] = (moved[idx - 1] + step) % self.n
-        return (blk + info["offset"], tuple(moved))
+        _boxes, offset, moves = self._edges[side][k]
+        n = self.n
+        return blk + offset, tuple([(cube[j] + s) % n for j, s in moves])
 
     def edges_from(self, side: int, state: int | None, cell: Cell) -> list[int]:
         """Edges of a side firing at a cell from a dialect state, in order;
@@ -263,16 +263,18 @@ class CellGraph:
         return [k for ks in _slabs_meeting(table, cube[0], cube[0] + 1) for k in ks
                 if self.applicable(side, k, cell)]
 
-    def seeds(self, skip: frozenset = frozenset()):
+    def seeds(self, cut=()):
         """Every edge fired from the free pair, as (side, k, node, cells):
-        cells maps each source cell outside skip to its image.  Blocks
-        lying wholly in skip are passed over without listing their cells."""
-        per_block = Counter(blk for blk, _ in skip)
-        full = {blk for blk, c in per_block.items() if c == self.n ** self.N}
+        cells maps each source cell outside the cut, given as grid boxes,
+        to its image.  Blocks that a cut box holds whole are passed over
+        without listing their cells."""
+        whole = ((0, self.n),) * self.N
+        full = {blk for lo, hi, ranges in cut if ranges == whole for blk in range(lo, hi)}
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
                 cells = {cell: self.image(side, k, cell)
-                         for cell in self.source_cells(side, k, full) if cell not in skip}
+                         for cell in self.source_cells(side, k, full)
+                         if not _covers(cut, cell)}
                 if cells:
                     yield side, k, (_chain(FREE, side, e), 1 - side), cells
 
@@ -290,7 +292,6 @@ class CellGraph:
 
     def edge(self, side: int, k: int) -> Edge:
         return self.gs[side].edges[k]
-
 
 def cell_decompose(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> CellGraph:
     """Cell structure of the given graphings, and of the sets in extra, at
@@ -454,7 +455,7 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
 def _plug_cells(cg: CellGraph, cut, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
     the cut; a walk becomes a composite edge where it leaves the cut."""
-    cutcells = cg.mset_cells(cut, "cut")
+    boxes = cg.grid_boxes(cut, "cut")
     results: dict = {}
     budget = expansion_cap(cap)
     fires = 0
@@ -475,7 +476,7 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
             if start in known:
                 continue
             known.add(start)
-            if cell in cutcells:
+            if _covers(boxes, cell):
                 inside[start] = cell
             else:
                 results[(start, node[0], desc.key(), weight.a, weight.flag)] = \
@@ -483,7 +484,7 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
         if inside:
             queue.append((node, desc, weight, inside, length))
 
-    for side, k, node, cells in cg.seeds(cutcells):
+    for side, k, node, cells in cg.seeds(boxes):
         e = cg.edge(side, k)
         reach(node, e.mapd, e.weight, cells, 1)
     while queue:

@@ -60,10 +60,6 @@ class Weight:
         w.a, w.flag = self.a * other.a, self.flag | other.flag
         return w
 
-    def param(self) -> Fraction:
-        """The scalar fed to measurement: dilation times flag."""
-        return self.a * self.flag
-
     def to_json(self) -> dict:
         return {"a": rat_str(self.a), "flag": self.flag}
 

@@ -51,8 +51,10 @@ class Machine:
     def from_json(cls, data, psi: VertexTable = DEFAULT_PSI) -> "Machine":
         if not isinstance(data, dict) or "graphing" not in data:
             raise ValueError(f"machine needs a 'graphing' field, got {data!r}")
-        return cls(GraphingRep.from_json(data["graphing"]),
-                   _int_field(data.get("headBound", 1), "headBound"), psi)
+        bound = _int_field(data.get("headBound", 1), "headBound")
+        if bound < 1:
+            raise ValueError(f"headBound must be at least 1, got {bound}")
+        return cls(GraphingRep.from_json(data["graphing"]), bound, psi)
 
     def __repr__(self):
         return (f"Machine({len(self.graphing.edges)} edges, "

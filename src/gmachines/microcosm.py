@@ -60,13 +60,6 @@ class Perm:
             return cls()
         return cls({i: j, j: i})
 
-    @classmethod
-    def from_cycle(cls, cycle: Iterable[int]) -> "Perm":
-        cycle = list(cycle)
-        if len(cycle) < 2:
-            return cls()
-        return cls({a: b for a, b in zip(cycle, cycle[1:] + cycle[:1])})
-
     def __call__(self, i: int) -> int:
         for k, v in self._map:
             if k == i:
@@ -237,19 +230,6 @@ class TransformationDescriptor:
             sub = sq.order()
             return None if sub is None else 2 * sub
         return None
-
-    def apply_point(self, x, coords: Mapping[int, Fraction] | None = None):
-        """Apply to a sample point; coords default to 0 on every coordinate."""
-        x = rat(x)
-        coords = {int(k): rat(v) for k, v in (coords or {}).items()}
-        idxs = set(coords) | self.perm.support() | {i for i, _ in self.shifts}
-        inv = self.perm.inverse()
-        out = {}
-        for j in idxs:
-            val = coords.get(inv(j), Fraction(0))
-            out[j] = _frac_part(val + self.shift(j))
-        out = {j: v for j, v in out.items() if v != 0}
-        return (self.slope * x + self.offset, out)
 
     def apply_box(self, box: Box) -> Box:
         """Image of a box; raises WrapSplitRequired if a shift tears it."""

@@ -118,12 +118,14 @@ def _wide_source(rng, grid, bound, lo, hi):
 
 
 def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
-                      dialect=2, flag_rate=0.4, wide=False):
+                      dialect=2, flag_rate=0.4, wide=False, perms=None):
     """A pair of cell-rigid, measure-preserving graphings on a shared
     support, with grid-aligned sources, block translations, optional
     coordinate swaps and 1/grid shifts, and a sprinkling of flags.  A
     source is one cell wide on at most one coordinate and one block long;
-    with wide, it is made by _wide_source over one or two blocks."""
+    with wide, it is made by _wide_source over one or two blocks.  Each
+    edge's perm is drawn from perms when given, else it is (1 2) or the
+    identity."""
     support = MSet([b for blk in blocks for b in seg(blk, blk + 1).boxes])
 
     def one_graphing():
@@ -141,7 +143,10 @@ def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
                              **{str(c): (Fraction(j, grid), Fraction(j + 1, grid))})
             else:
                 source = seg(src, src + 1)
-            perm = Perm({1: 2, 2: 1}) if rng.random() < 0.3 else Perm()
+            if perms:
+                perm = rng.choice(perms)
+            else:
+                perm = Perm({1: 2, 2: 1}) if rng.random() < 0.3 else Perm()
             shifts = {}
             if rng.random() < 0.4:
                 c = rng.randrange(1, bound + 1)

@@ -182,6 +182,29 @@ def ref_arrows(cells):
             for cell in cells.source_cells(side, k)]
 
 
+# -- the cells of a set -------------------------------------------------------
+#
+# A set aligned to the grid holds a cell exactly when it holds the cell's
+# centre.  Every cell of every block a box touches is tested against the
+# box's own rational bounds: no grid boxes, no cell decomposition.
+
+
+def ref_cells(m, n, bound):
+    """The cells (block, cube) of a set whose boxes lie on integer blocks
+    and on the 1/n grid in coordinates 1..bound."""
+    out = set()
+    for b in m.boxes:
+        for blk in range(b.line.lo.numerator // b.line.lo.denominator,
+                         -(-b.line.hi.numerator // b.line.hi.denominator)):
+            if not b.line.lo <= blk + Fraction(1, 2) < b.line.hi:
+                continue
+            for cube in product(range(n), repeat=bound):
+                if all(b.coord(c + 1).lo <= Fraction(2 * j + 1, 2 * n) < b.coord(c + 1).hi
+                       for c, j in enumerate(cube)):
+                    out.add((blk, cube))
+    return out
+
+
 # -- the edges that fire at a cell --------------------------------------------
 #
 # Read off the source cells of every edge and its in-state alone: no
@@ -293,6 +316,25 @@ def ref_compose(f, g):
     for j, lam in f.shifts:
         shifts[j] = shifts.get(j, 0) + lam
     return type(f)(f.slope * g.slope, f.slope * g.offset + f.offset, perm, shifts)
+
+
+# -- a map at a point --------------------------------------------------------
+#
+# Coordinate i of the point moves to perm(i), then the shift at perm(i) is
+# added on the unit circle; coordinates left at 0 are dropped.
+
+
+def ref_apply_point(d, x, coords=None):
+    """(line image, {coordinate: value}) of the point (x, coords) under the
+    map d; coords default to 0 on every coordinate."""
+    coords = {int(k): Fraction(v) for k, v in (coords or {}).items()}
+    shifts = dict(d.shifts)
+    out = {}
+    for i in set(coords) | d.perm.support() | set(shifts):
+        j = d.perm(i)
+        v = coords.get(i, Fraction(0)) + shifts.get(j, Fraction(0))
+        out[j] = v - (v.numerator // v.denominator)
+    return (d.slope * Fraction(x) + d.offset, {j: v for j, v in out.items() if v != 0})
 
 
 # -- measure of a Boolean combination of boxes ------------------------------

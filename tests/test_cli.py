@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gmachines import cli
-from gmachines.automata import parity_automaton
+from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.graphings import GraphingRep
 
@@ -162,6 +162,30 @@ def test_extract_automaton_modes(capsys, parity_machine_file):
     code, out, _ = run(capsys, "extract-automaton", parity_machine_file,
                        "--mode", "verbatim")
     assert json.loads(out)["states"].__len__() == 30
+
+
+@pytest.mark.parametrize("automaton, bound, complaint", [
+    (parity_automaton, 0, "ValueError: headBound must be at least 1"),
+    (parity_automaton, -1, "ValueError: headBound must be at least 1"),
+    # the zeros-ones machine swaps coordinate 2 into the head slot
+    (zeros_ones_automaton, 1, "NotEssential: edge swaps coordinate 2 beyond headBound 1"),
+])
+def test_extract_automaton_refuses_a_bad_head_bound(capsys, tmp_path, automaton,
+                                                    bound, complaint):
+    doc = automaton_to_machine(automaton()).to_json()
+    doc["headBound"] = bound
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "extract-automaton", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {complaint}")
+
+
+def test_junk_budget_variable_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "junk")
+    code, out, err = run(capsys, "decide", "parity", "11")
+    assert (code, out) == (2, "")
+    assert "GM_MAX_PATH_LEN" in err
 
 
 def test_essentialize_idempotent_output(capsys, parity_machine_file):

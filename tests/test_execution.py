@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 import random
 
 import pytest
@@ -15,12 +15,13 @@ from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
                                  alternating_paths, cell_decompose,
                                  cell_path_counts, expansion_cap, plug)
 from gmachines.graphings import GraphingRep, Weight, equivalent
+from gmachines.microcosm import Perm
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import (brute_paths, brute_plug, ref_arrows, ref_edges_from,
-                     ref_source_lists)
+from oracles import (brute_paths, brute_plug, ref_arrows, ref_cells,
+                     ref_edges_from, ref_source_lists)
 
 
 def _pair_raw(conveyor, doubler):
@@ -190,8 +191,8 @@ def test_cell_decompose_word_graphing():
     cg = cell_decompose([w])
     # every edge is applicable at exactly the cells of its source
     for j, e in enumerate(w.edges):
-        srcs = cg.mset_cells(e.source)
-        assert srcs
+        srcs = ref_cells(e.source, cg.n, cg.N)
+        assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
             assert cg.applicable(0, j, c)
             img = cg.image(0, j, c)
@@ -326,6 +327,16 @@ def test_exact_walk_intersections_per_arrow_stay_flat(monkeypatch):
     assert ratio[32] <= ratio[8]
 
 
+def _grid_box(rng, cg, blk):
+    """One block crossed with a random run of grid cells on each coordinate."""
+    coords = {}
+    for c in range(1, cg.N + 1):
+        if rng.random() < 0.7:
+            i = rng.randrange(cg.n)
+            coords[str(c)] = (Fraction(i, cg.n), Fraction(rng.randrange(i + 1, cg.n + 1), cg.n))
+    return seg(blk, blk + 1, **coords)
+
+
 def test_seeds_skip_whole_and_partial_blocks():
     rng = random.Random(31)
     for _ in range(20):
@@ -333,11 +344,17 @@ def test_seeds_skip_whole_and_partial_blocks():
         cg = cell_decompose([f, g])
         arrows = ref_arrows(cg)
         cells = sorted({cell for _side, _k, cell, _dst in arrows})
-        whole = {(blk, cube) for blk in (0, 2)
-                 for cube in product(range(cg.n), repeat=cg.N)}
-        partial = set(rng.sample(cells, len(cells) // 3))
-        for skip in (set(), whole, partial, whole | partial):
-            got = list(cg.seeds(frozenset(skip)))
+        whole = seg(0, 1).union(seg(2, 3))
+        partial = MSet([b for cell in rng.sample(cells, len(cells) // 3)
+                        for b in cg.cell_mset(cell).boxes])
+        drawn = [MSet([b for blk in rng.sample((0, 1, 2), rng.randint(0, 2))
+                       for b in seg(blk, blk + 1).boxes]
+                      + [b for _ in range(rng.randint(1, 3))
+                         for b in _grid_box(rng, cg, rng.randrange(3)).boxes])
+                 for _ in range(3)]
+        for cut in (MSet([]), whole, partial, whole.union(partial), *drawn):
+            skip = ref_cells(cut, cg.n, cg.N)
+            got = list(cg.seeds(cg.grid_boxes(cut)))
             assert [(side, k, cell, dst) for side, k, _node, group in got
                     for cell, dst in group.items()] == \
                 [a for a in arrows if a[2] not in skip]
@@ -348,6 +365,22 @@ def test_seeds_skip_whole_and_partial_blocks():
                 assert st[1 - side] == (None, None) and turn == 1 - side
 
 
+def test_image_matches_the_rational_map():
+    rng = random.Random(53)
+    perms = [Perm(dict(zip((1, 2, 3), p))) for p in permutations((1, 2, 3))]
+    checked = 0
+    for _ in range(80):
+        f, g = random_rigid_pair(rng, bound=3, perms=perms)
+        cg = cell_decompose([f, g])
+        for side, h in enumerate((f, g)):
+            for k, e in enumerate(h.edges):
+                for cell in cg.source_cells(side, k):
+                    assert cg.cell_mset(cg.image(side, k, cell)) == \
+                        e.mapd.apply_mset(cg.cell_mset(cell)), (side, k, cell)
+                    checked += 1
+    assert checked > 10_000
+
+
 def test_cell_counts_refine_path_census():
     rng = random.Random(11)
     for _ in range(10):
@@ -356,7 +389,7 @@ def test_cell_counts_refine_path_census():
         cg = cell_decompose([f, g])
         want = Counter()
         for p in paths:
-            want[p.length] += len(cg.mset_cells(p.source))
+            want[p.length] += len(ref_cells(p.source, cg.n, cg.N))
         got = {k: v for k, v in cell_path_counts(f, g, 5).items() if v}
         assert dict(want) == got
 
@@ -366,7 +399,8 @@ def test_expansion_cap_resolution(monkeypatch):
     monkeypatch.setenv("GM_MAX_PATH_LEN", "123")
     assert expansion_cap() == 123
     monkeypatch.setenv("GM_MAX_PATH_LEN", "junk")
-    assert expansion_cap() == 10_000
+    with pytest.raises(ValueError, match="GM_MAX_PATH_LEN"):
+        expansion_cap()
     monkeypatch.delenv("GM_MAX_PATH_LEN")
     assert expansion_cap() == 10_000
 

@@ -113,8 +113,9 @@ def test_tensor_rejects_overlap(seesaw, seesaw_mirror):
 
 def test_weight_param_is_dilation_times_flag():
     w = Weight(Fraction(2, 3), 1)
-    assert w.param() == Fraction(2, 3)
-    assert Weight(Fraction(2, 3), 0).param() == 0
+    assert w.a == Fraction(2, 3) and w.flag == 1
+    w = Weight(Fraction(2, 3), 0)
+    assert w.a == Fraction(2, 3) and w.flag == 0
     with pytest.raises(ValueError):
         Weight(2, 1)
 
@@ -123,7 +124,6 @@ def test_edge_weight_defaults_to_unflagged():
     e = Edge(seg(0, 1), 0, 0, TransformationDescriptor())
     assert e.weight.a == 1
     assert e.weight.flag == 0
-    assert e.weight.param() == 0
 
 
 def test_json_round_trip(seesaw_halved):
@@ -141,7 +141,7 @@ def test_json_preserves_perm_and_weight():
     g = GraphingRep(seg(0, 1), 2, [e])
     back = GraphingRep.from_json(g.to_json())
     b = back.edges[0]
-    assert b.weight.param() == Fraction(1, 2) and b.weight.flag == 1
+    assert b.weight.a == Fraction(1, 2) and b.weight.flag == 1
     assert b.mapd.key() == t.key()
 
 
