@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GMError, ValueError, OSError, AssertionError) as exc:
+    except (GMError, ValueError, OSError, AssertionError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

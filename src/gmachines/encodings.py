@@ -12,9 +12,12 @@ The backward direction reads an essential machine off its blocks and emits
 an automaton that hunts for a closed chain of answer-to-answer excursions:
 it guesses the dialect state the chain will revisit, simulates edges while
 tracking which head sits in which coordinate, and rejects when the chain
-comes back around.  In "preamble" mode the automaton may first walk its
-heads anywhere before anchoring; "verbatim" mode anchors at the start
-position only.
+comes back around.  One loop emits every excursion step: an edge between
+interface blocks, or a landing at the reject block with a departure from
+a state its state reaches over silent answer-to-answer edges (a plain
+reachability pass; a silent cycle rejects every word).  In "preamble"
+mode the automaton may first walk its heads anywhere before anchoring;
+"verbatim" mode anchors at the start position only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .automata import (HALTING, IN, MARKER, MultiheadAutomaton, OUT,
 from .errors import MalformedHalt, NotEssential
 from .execution import FREE, cell_decompose, walk_counts
 from .graphings import Edge, GraphingRep, ONE
-from .machines import Machine
+from .machines import Machine, _is_star
 from .microcosm import Perm, TransformationDescriptor
 from .words import DEFAULT_PSI, SYMBOLS, VertexTable, representation
 
@@ -156,13 +159,9 @@ def _edge_parts(e: Edge, rev):
     mapd = e.mapd
     if mapd.slope != 1 or mapd.shifts or mapd.offset.denominator != 1:
         raise NotEssential(f"edge map {mapd!r} is not a block move")
-    sup = mapd.perm.support()
-    if not sup:
-        j = 1
-    elif len(sup) == 2 and 1 in sup:
-        j = max(sup)
-    else:
+    if not _is_star(mapd.perm):
         raise NotEssential(f"edge permutation {mapd.perm!r} is not a star swap")
+    j = max(mapd.perm.support(), default=1)
     src = _block_key(e.source, rev)
     tgt = src + int(mapd.offset)
     if tgt not in rev:
@@ -214,33 +213,21 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
     if any(p[2] != 1 for p in silents):
         raise NotEssential("answer-to-answer edges must not move coordinates")
 
-    # Silent hops between answer states collapse by transitive closure; a
-    # silent cycle rejects every word outright.
+    # Silent hops between answer states collapse to the states each one
+    # reaches; a silent cycle rejects every word outright.
     snext: dict[int, set[int]] = {}
     for p in silents:
         snext.setdefault(p[3], set()).add(p[4])
-    reach: dict[int, frozenset[int]] = {}
-
-    def close(q, trail):
-        if q in reach:
-            return reach[q]
-        if q in trail:
-            return None
-        trail = trail | {q}
-        acc = {q}
-        for q2 in snext.get(q, ()):
-            sub = close(q2, trail)
-            if sub is None:
-                return None
-            acc |= sub
-        reach[q] = frozenset(acc)
-        return reach[q]
-
-    all_states = ({p[3] for p in departures} | {p[4] for p in landings}
-                  | {p[3] for p in silents} | {p[4] for p in silents})
-    for q in all_states:
-        if close(q, frozenset()) is None:
-            return _reject_all(n)
+    reach: dict[int, set[int]] = {}
+    for q0 in {q for p in silents for q in p[3:]}:
+        seen, todo = {q0}, [q0]
+        while todo:
+            new = snext.get(todo.pop(), set()) - seen
+            seen |= new
+            todo.extend(new)
+        reach[q0] = seen
+    if any(q in reach[q2] for q in snext for q2 in snext[q]):
+        return _reject_all(n)
 
     src_at_r = {p[3] for p in departures} | {p[3] for p in silents}
     tgt_at_r = {p[4] for p in landings} | {p[4] for p in silents}
@@ -251,10 +238,8 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
         dep_by_state.setdefault(p[3], []).append(p)
 
     def departures_of(q0):
-        out = []
-        for q in sorted(reach.get(q0, frozenset({q0}))):
-            out.extend(dep_by_state.get(q, ()))
-        return out
+        return [p for q in sorted(reach.get(q0, {q0}))
+                for p in dep_by_state.get(q, ())]
 
     sigmas = [tuple(p) for p in permutations(range(1, n + 1))]
     id_sigma = tuple(range(1, n + 1))
@@ -285,44 +270,38 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
 
     anchor_from("init")
 
-    for (src_key, tgt_key, j, q0, q2) in mids:
-        s = src_key[0]
-        s2, d2 = tgt_key
+    # Excursion steps (read at coordinate 1, swap, second swap, in state,
+    # target key, answer state, out state): each mid edge, with no second
+    # swap and no answer state, and each landing with each departure after it.
+    steps = [(src[0], j, 1, q0, tgt, None, q2)
+             for (src, tgt, j, q0, q2) in mids]
+    steps += [(lsrc[0], j1, j2, q0, tgt, qr, q2)
+              for (lsrc, _, j1, q0, qr) in landings
+              for (_, tgt, j2, _, q2) in departures_of(qr)]
+    for (s, j1, j2, q0, (s2, d2), qr, q2) in steps:
         for sig in sigmas:
+            sig2 = _bump(_bump(sig, j1), j2)
             h1 = sig.index(1) + 1
-            hj = sig.index(j) + 1
-            if h1 == hj and s != s2:
+            h2 = sig2.index(1) + 1
+            if h1 == h2 and s != s2:
                 continue
-            sig2 = _bump(sig, j)
+            reads = list(_reads(n, {h1: s, h2: s2}))
             for i in anchors:
+                # coming back to the anchor is left to the reject transitions
+                back = qr == i
+                if back and mode == "verbatim":
+                    continue
                 for mem in mems:
-                    for av in _reads(n, {h1: s, hj: s2}):
-                        trans.add(Transition(av, name(q0, sig, i, mem), hj,
+                    for av in reads:
+                        if back and av == mem:
+                            continue
+                        trans.add(Transition(av, name(q0, sig, i, mem), h2,
                                              _flip(d2), name(q2, sig2, i, mem)))
 
     for (lsrc, _, j1, q0, qr) in landings:
         s = lsrc[0]
-        for (_, tgt_key, j2, _, q2) in departures_of(qr):
-            s2, d2 = tgt_key
-            for sig in sigmas:
-                sig2 = _bump(_bump(sig, j1), j2)
-                h1 = sig.index(1) + 1
-                h2 = sig2.index(1) + 1
-                if h1 == h2 and s != s2:
-                    continue
-                for i in anchors:
-                    for mem in mems:
-                        for av in _reads(n, {h1: s, h2: s2}):
-                            if qr == i and (mode == "verbatim" or av == mem):
-                                continue
-                            trans.add(Transition(av, name(q0, sig, i, mem), h2,
-                                                 _flip(d2),
-                                                 name(q2, sig2, i, mem)))
-
-    for (lsrc, _, j1, q0, qr) in landings:
-        s = lsrc[0]
         for i in anchors:
-            if i not in reach.get(qr, frozenset({qr})):
+            if i not in reach.get(qr, {qr}):
                 continue
             for sig in sigmas:
                 h1 = sig.index(1) + 1

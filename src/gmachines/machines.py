@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotEssential
 from .execution import plug_projects
-from .graphings import Edge, GraphingRep, Project, validate
+from .graphings import Edge, GraphingRep, ONE, Project, validate
 from .measurement import decide_against_test, t_minus
 from .microcosm import Perm, TransformationDescriptor, decompose_star
 from .space import MSet, _int_field
@@ -118,63 +118,46 @@ def _block_start(box) -> int:
 def essentialize(m: Machine) -> Machine:
     """Rewrite every edge to use star transpositions only.
 
-    An edge with permutation sigma becomes a chain: each factor of the
-    star decomposition rides an outward hop, and an inward identity hop
-    follows it, so the word steps forward then straight back.  Every hop
-    sits behind fresh dialect states and guesses the block symbol it will
-    land on; wrong guesses die inside the interface, the right one
-    continues, and the final hop lands exactly where the original edge
-    did.
+    An edge with permutation sigma becomes a chain: one outward hop per
+    factor of the star decomposition, an inward identity hop between two,
+    so the word steps forward then straight back, all behind fresh dialect
+    states.  Hop h leaves the edge's block if h is 0, else any outward
+    block; the last hop lands on the edge's target with its weight, the
+    others on every outward block, guessing the symbol there.  Wrong
+    guesses die inside the interface.
     """
     psi = m.psi
     g = m.graphing
     edges: list[Edge] = []
     size = g.dialect_size
-
-    def out_block(x):
-        return psi.block((x, OUT))
+    outs = [(psi.mset((x, OUT)), psi.block((x, OUT))) for x in SYMBOLS]
+    backs = [psi.mset((y, IN)) for y in SYMBOLS]
 
     for e in g.edges:
         if _is_star(e.mapd.perm):
             edges.append(e)
             continue
-        taus = [Perm.transposition(1, j) for j in decompose_star(e.mapd.perm)]
-        t = len(taus)
+        # a non-star perm has at least two star factors, so hop 0 is never
+        # the last one
+        js = decompose_star(e.mapd.perm)
+        t = len(js)
         for box in e.source.boxes:
             blk = _block_start(box)
-            target_blk = blk + int(e.mapd.offset)
             chain = [e.in_state] + [size + i for i in range(2 * t - 2)] + [e.out_state]
             size += 2 * t - 2
-            # first hop: apply the first factor, land on some outward block
-            for x in SYMBOLS:
-                edges.append(Edge(
-                    MSet([box]), chain[0], chain[1],
-                    TransformationDescriptor(offset=out_block(x) - blk, perm=taus[0]),
-                ))
-            for i in range(2, t + 1):
-                lo = 2 * i - 3  # state entering the inward hop
-                # inward hop: hold position while the word steps back
-                for y in SYMBOLS:
-                    edges.append(Edge(
-                        psi.mset((y, IN)), chain[lo], chain[lo + 1],
-                        TransformationDescriptor(),
-                    ))
-                if i < t:
-                    for z in SYMBOLS:
-                        for x in SYMBOLS:
-                            edges.append(Edge(
-                                psi.mset((z, OUT)), chain[lo + 1], chain[lo + 2],
-                                TransformationDescriptor(
-                                    offset=out_block(x) - out_block(z),
-                                    perm=taus[i - 1]),
-                            ))
-                else:
-                    for z in SYMBOLS:
-                        edges.append(Edge(
-                            psi.mset((z, OUT)), chain[lo + 1], chain[lo + 2],
-                            TransformationDescriptor(
-                                offset=target_blk - out_block(z),
-                                perm=taus[i - 1]),
-                            e.weight,
-                        ))
+            for h, j in enumerate(js):
+                a, b = chain[2 * h], chain[2 * h + 1]
+                if h:
+                    # inward hop: hold position while the word steps back
+                    edges.extend(Edge(src, chain[2 * h - 1], a,
+                                      TransformationDescriptor())
+                                 for src in backs)
+                sources = outs if h else [(MSet([box]), blk)]
+                last = h == t - 1
+                lands = [blk + int(e.mapd.offset)] if last else [x for _, x in outs]
+                for src, lo in sources:
+                    for land in lands:
+                        edges.append(Edge(src, a, b, TransformationDescriptor(
+                            offset=land - lo, perm=Perm.transposition(1, j)),
+                            e.weight if last else ONE))
     return Machine(GraphingRep(g.support, size, edges), m.head_bound, psi)

@@ -413,3 +413,18 @@ def test_zero_lengths_stay_valid(capsys):
     assert run(capsys, "roundtrip", "parity", "--max-len", "0")[0] == 0
     assert run(capsys, "correspond", "parity", "--word", "01",
                "--max-steps", "0")[0] == 0
+
+
+def test_deep_recursion_exits_two(capsys, tmp_path):
+    # normalising the union of two boxes recurses once per constrained
+    # axis, so 1,200 axes run past the interpreter's recursion limit
+    coords = {str(i): ["0", "1/2"] for i in range(1, 1201)}
+    doc = {"support": [{"line": ["0", "1"], "coords": coords},
+                       {"line": ["1", "2"], "coords": coords}],
+           "dialect": 1, "edges": []}
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    for cmd in ("measure", "paths"):
+        code, out, err = run(capsys, cmd, str(deep), str(deep))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: RecursionError: ")

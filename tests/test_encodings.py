@@ -1,6 +1,7 @@
 """Encoding automata as machines and extracting them back."""
 
 import math
+import sys
 
 import pytest
 
@@ -10,8 +11,12 @@ from gmachines.encodings import (automaton_to_machine, family_counts,
                                  machine_to_automaton,
                                  trace_path_correspondence)
 from gmachines.errors import MalformedHalt, NotEssential
-from gmachines.machines import essentialize, language_m
+from gmachines.graphings import Edge, GraphingRep
+from gmachines.machines import Machine, essentialize, language_m
+from gmachines.microcosm import TransformationDescriptor
+from gmachines.words import DEFAULT_PSI, IN, OUT
 
+from conftest import _move
 from oracles import all_words
 
 
@@ -104,6 +109,87 @@ def test_extraction_wants_essential_machines(tape_loop_machine):
     fixed = essentialize(tape_loop_machine)
     a = machine_to_automaton(fixed)
     assert language_a(a, 2) == language_m(tape_loop_machine, 2)
+
+
+def _silent_detour(m, hops):
+    """m with every landing at the reject block sent to a fresh state that
+    takes hops silent answer-to-answer edges back to where departures leave."""
+    g, psi = m.graphing, m.psi
+    r = psi.block("r")
+
+    def src(e):
+        return int(e.source.boxes[0].line.lo)
+
+    (init,) = {e.in_state for e in g.edges if src(e) == r}
+    x = g.dialect_size
+    edges = [Edge(e.source, e.in_state,
+                  x if src(e) + e.mapd.offset == r else e.out_state,
+                  e.mapd, e.weight) for e in g.edges]
+    chain = list(range(x, x + hops)) + [init]
+    edges += [Edge(psi.mset("r"), q, q2, TransformationDescriptor())
+              for q, q2 in zip(chain, chain[1:])]
+    return Machine(GraphingRep(g.support, x + hops, edges), m.head_bound, psi)
+
+
+def test_extraction_follows_silent_answer_edges(parity, zeros_ones):
+    for a, max_len in ((parity, 4), (zeros_ones, 3)):
+        m = _silent_detour(automaton_to_machine(a), 1)
+        want = language_m(m, max_len)
+        assert want == language_a(a, max_len)
+        for mode in ("preamble", "verbatim"):
+            back = machine_to_automaton(m, mode=mode)
+            assert language_a(back, max_len) == want, mode
+
+
+def test_a_silent_cycle_rejects_every_word(parity):
+    m = automaton_to_machine(parity)
+    g, psi = m.graphing, m.psi
+    x = g.dialect_size
+    loop = [Edge(psi.mset("r"), x, x + 1, TransformationDescriptor()),
+            Edge(psi.mset("r"), x + 1, x, TransformationDescriptor())]
+    m = Machine(GraphingRep(g.support, x + 2, [*g.edges, *loop]), 1, psi)
+    a = machine_to_automaton(m)
+    assert [t.next for t in a.transitions] == ["reject"]
+    assert language_a(a, 3) == language_m(m, 3) == []
+
+
+def test_extraction_continues_through_silent_answer_edges():
+    # two laps of the tape, the second over 1s only, each landing at a
+    # state that a silent edge hands on to the other lap: the reject
+    # chain has to pass both silent edges
+    psi = DEFAULT_PSI
+    edges = [_move(psi, "r", ("*", OUT), 0, 1),
+             _move(psi, ("0", IN), ("0", OUT), 1, 1),
+             _move(psi, ("1", IN), ("1", OUT), 1, 1),
+             _move(psi, ("*", IN), "r", 1, 2),
+             _move(psi, "r", "r", 2, 3),
+             _move(psi, "r", ("*", OUT), 3, 4),
+             _move(psi, ("1", IN), ("1", OUT), 4, 4),
+             _move(psi, ("*", IN), "r", 4, 5),
+             _move(psi, "r", "r", 5, 0)]
+    m = Machine(GraphingRep(psi.machine_support(), 6, edges), 1, psi)
+    want = language_m(m, 3)
+    assert want == [w for w in all_words(3) if "0" in w]
+    for mode in ("preamble", "verbatim"):
+        assert language_a(machine_to_automaton(m, mode=mode), 3) == want, mode
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_long_silent_chain_extracts_without_recursion(parity):
+    m = _silent_detour(automaton_to_machine(parity), 150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        a = machine_to_automaton(m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert language_a(a, 2) == language_m(m, 2)
 
 
 def test_round_trip_preserves_language(parity, zeros_ones):

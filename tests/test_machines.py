@@ -11,11 +11,11 @@ from gmachines.graphings import Edge, GraphingRep, Weight
 from gmachines.machines import (Machine, accepts, compute, essentialize,
                                 is_essential, language_m, validate_machine)
 from gmachines.measurement import decide_against_test
-from gmachines.microcosm import TransformationDescriptor
+from gmachines.microcosm import Perm, TransformationDescriptor, decompose_star
 from gmachines.space import intersect, measure
-from gmachines.words import DEFAULT_PSI
+from gmachines.words import DEFAULT_PSI, IN, OUT
 
-from conftest import seg
+from conftest import _move, seg
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,30 @@ def test_essentialize_splits_long_jumps(tape_loop_machine):
     assert len(fixed.graphing.edges) == 11
     assert fixed.graphing.dialect_size == 5
     assert language_m(fixed, 3) == language_m(tape_loop_machine, 3)
+
+
+@pytest.mark.parametrize("home", [False, True])
+@pytest.mark.parametrize("perm, factors", [
+    (Perm({2: 3, 3: 2}), 3),
+    (Perm({1: 2, 2: 1, 3: 4, 4: 3}), 4),
+    (Perm({1: 3, 3: 4, 4: 1}), 2),
+])
+def test_essentialize_chains_middle_hops(perm, factors, home):
+    # the tape-loop shape: leave the reject block, walk one letter, come
+    # back.  On the way out every head stands on the marker, so a middle
+    # hop that guessed only the target's symbol would pass unnoticed; on
+    # the way home the target is the reject block and it would not.
+    psi = DEFAULT_PSI
+    edges = [_move(psi, "r", ("*", OUT), 0, 1, None if home else perm),
+             _move(psi, ("0", IN), ("0", OUT), 1, 2),
+             _move(psi, ("1", IN), ("1", OUT), 1, 2),
+             _move(psi, ("*", IN), "r", 2, 0, perm if home else None)]
+    m = Machine(GraphingRep(psi.machine_support(), 3, edges),
+                max(perm.support()), psi)
+    assert len(decompose_star(perm)) == factors
+    fixed = essentialize(m)
+    assert is_essential(fixed)
+    assert language_m(fixed, 3) == language_m(m, 3)
 
 
 def test_json_round_trip(parity_m):
