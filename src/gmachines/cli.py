@@ -94,9 +94,8 @@ def cmd_decide(args) -> int:
     if machine is None or word is None:
         print("error: decide needs a machine and a word", file=sys.stderr)
         return 2
-    psi = PSIS[args.psi]
-    m = _load_machine(machine, psi)
-    verdict = machines.accepts(m, word, psi)
+    m = _load_machine(machine, PSIS[args.psi])
+    verdict = machines.accepts(m, word)
     if args.json:
         _emit({"word": word, "verdict": "pass" if verdict else "fail"})
     else:
@@ -117,11 +116,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    psi = PSIS[args.psi]
     a = _load_automaton(args.automaton)
-    m = encodings.automaton_to_machine(a, psi)
+    m = encodings.automaton_to_machine(a, PSIS[args.psi])
 
-    rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w, psi))
+    rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w))
             for w in _words_upto(args.max_len)]
     bad = 0
     print("word automaton machine agree")
@@ -210,10 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gmachines")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, psi=True):
-        if psi:
-            p.add_argument("--psi", choices=sorted(PSIS), default="default",
-                           help="vertex block layout")
+    def common(p):
+        p.add_argument("--psi", choices=sorted(PSIS), default="default",
+                       help="vertex block layout")
 
     p = sub.add_parser("decide", help="run a machine on a word")
     p.add_argument("machine_pos", nargs="?", metavar="machine",

@@ -28,8 +28,10 @@ edge's source and the cut, is read once into boxes of grid indices
 edge on the pair, and is also the exact engine's dialect bookkeeping.
 `seeds` fires every edge from the free pair; `successors` lets the side
 whose turn it is fire an edge chaining at its out-state, or any edge
-while still free.  Plugging, `walk_counts` and the circuit listing of
-the measurement module are searches over this graph.
+while still free.  Which edges fire at a cell, and where they land, is
+asked of `CellGraph.arrows` alone.  Plugging, `walk_counts`, the circuit
+search and listing of the measurement module, and the run-to-path map of
+the encodings module are searches over this graph.
 
 Plugging two graphings along a cut region composes every alternating path
 that starts outside the cut, travels inside it, and exits; the composite
@@ -150,8 +152,9 @@ class CellGraph:
     coordinate, so membership is a range test (`_covers`).  Arrows are
     computed on demand: the graph only stores, per edge, its source boxes,
     its block offset, and, per coordinate of the image, the coordinate it
-    reads and the grid steps it shifts by.  `edges_from` finds the edges
-    firing at a cell by slab lookup.  Per side, block and in-state (and
+    reads and the grid steps it shifts by.  `arrows` is the one place that
+    tries edges at a cell: it returns the edges firing there with their
+    images, found by slab lookup.  Per side, block and in-state (and
     under in-state None for a side that may bind any), coordinate 1 is cut
     at every endpoint of the sources there, each slab listing the edges
     covering it (`_slab_table`, built on first use); only the edges on the
@@ -237,19 +240,17 @@ class CellGraph:
                     for cube in iproduct(*dims):
                         yield blk, cube
 
-    def applicable(self, side: int, k: int, cell: Cell) -> bool:
-        return _covers(self._edges[side][k][0], cell)
-
     def image(self, side: int, k: int, cell: Cell) -> Cell:
         blk, cube = cell
         _boxes, offset, moves = self._edges[side][k]
         n = self.n
         return blk + offset, tuple([(cube[j] + s) % n for j, s in moves])
 
-    def edges_from(self, side: int, state: int | None, cell: Cell) -> list[int]:
-        """Edges of a side firing at a cell from a dialect state, in order;
-        state None admits every in-state.  Only the edges listed on the
-        cell's coordinate-1 slab of its key are tried."""
+    def arrows(self, side: int, state: int | None, cell: Cell) -> list[tuple[int, Cell]]:
+        """The arrows leaving a cell on one side from a dialect state, as
+        (edge, image) in edge order; state None admits every in-state.
+        Only the edges listed on the cell's coordinate-1 slab of its key
+        are tried."""
         blk, cube = cell
         key = (side, state, blk)
         table = self._index.get(key)
@@ -257,11 +258,19 @@ class CellGraph:
             if key not in self._spans:
                 return []
             table = self._index[key] = _slab_table(self._spans[key])
+        rules = self._edges[side]
         if not cube:
             # bound 0: the one slab is the whole block, which each listed edge covers
-            return list(table[1][0])
-        return [k for ks in _slabs_meeting(table, cube[0], cube[0] + 1) for k in ks
-                if self.applicable(side, k, cell)]
+            return [(k, (blk + rules[k][1], ())) for k in table[1][0]]
+        n = self.n
+        out = []
+        for ks in _slabs_meeting(table, cube[0], cube[0] + 1):
+            for k in ks:
+                boxes, offset, moves = rules[k]
+                if _covers(boxes, cell):
+                    img = tuple([(cube[j] + s) % n for j, s in moves])
+                    out.append((k, (blk + offset, img)))
+        return out
 
     def seeds(self, cut=()):
         """Every edge fired from the free pair, as (side, k, node, cells):
@@ -284,8 +293,8 @@ class CellGraph:
         st, turn = node
         moved: dict[int, dict] = {}
         for start, cell in cells.items():
-            for k in self.edges_from(turn, st[turn][1], cell):
-                moved.setdefault(k, {})[start] = self.image(turn, k, cell)
+            for k, img in self.arrows(turn, st[turn][1], cell):
+                moved.setdefault(k, {})[start] = img
         for k in sorted(moved):
             e = self.gs[turn].edges[k]
             yield k, e, (_chain(st, turn, e), 1 - turn), moved[k]
@@ -366,7 +375,8 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
     cells.  A queue entry is a fired path: the set it carries to the side
     that fires next, with its dialect pair, composed map, weight, sides and
     edges.  The seeds are one entry per side, holding that side's sources
-    less the cut when there is one.  A pop finds that side's edges by slab
+    less the cut when there is one, if that is not empty.  A pop of a path
+    max_len long fires nothing.  A pop finds that side's edges by slab
     lookup (`_source_index`): it tries, in order, those listed on a line
     and coordinate-1 slab that meets a box of the carried set.  An edge
     fires when it chains at the pair and its source meets the carried set.
@@ -382,12 +392,17 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
     queue: deque = deque()
     for side, h in enumerate(pairs):
         src = MSet([b for e in h.edges for b in e.source.boxes])
-        queue.append((src if cut is None else src.difference(cut),
-                      side, FREE, IDENTITY, ONE, (), ()))
+        if cut is not None:
+            src = src.difference(cut)
+        if not src.is_empty():
+            queue.append((src, side, FREE, IDENTITY, ONE, (), ()))
     steps = []
     truncated = False
     while queue:
         carried, side, st, desc, weight, sides, edges = queue.popleft()
+        if max_len is not None and len(edges) >= max_len:
+            truncated = True
+            continue
         for k in _edges_meeting(index[side], carried):
             e = pairs[side].edges[k]
             now = _chain(st, side, e)
@@ -404,12 +419,8 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
             img = e.mapd.apply_mset(piece)
             steps.append((*path, *fired, img))
             carry = img if cut is None else img.intersect(cut)
-            if carry.is_empty() or not pairs[1 - side].edges:
-                continue
-            if max_len is not None and len(path[1]) >= max_len:
-                truncated = True
-                continue
-            queue.append((carry, 1 - side, *fired, *path))
+            if not carry.is_empty() and pairs[1 - side].edges:
+                queue.append((carry, 1 - side, *fired, *path))
     return steps, truncated
 
 
@@ -485,6 +496,9 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
             queue.append((node, desc, weight, inside, length))
 
     for side, k, node, cells in cg.seeds(boxes):
+        if max_len == 0:
+            # a seed is an arrow that would make a path of length 1
+            return [], True
         e = cg.edge(side, k)
         reach(node, e.mapd, e.weight, cells, 1)
     while queue:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import NotEssential
 from .execution import plug_projects
 from .graphings import Edge, GraphingRep, ONE, Project, validate
-from .measurement import decide_against_test, t_minus
+from .measurement import decide_against_test
 from .microcosm import Perm, TransformationDescriptor, decompose_star
 from .space import MSet, _int_field
 from .words import (DEFAULT_PSI, IN, OUT, SYMBOLS, VertexTable, _words_upto,
@@ -76,22 +76,17 @@ def validate_machine(g: GraphingRep, psi: VertexTable = DEFAULT_PSI,
     return diags
 
 
-def compute(m: Machine, word, psi: VertexTable | None = None) -> Project:
-    """Run a machine against a word (or a prepared representation)."""
-    psi = psi or m.psi
-    rep = representation(word, psi=psi) if isinstance(word, str) else word
-    cut = psi.interface_mset()
+def compute(m: Machine, word: str) -> Project:
+    """Run a machine against a word, on the machine's vertex blocks."""
     return plug_projects(
         Project(0, [(Fraction(1), m.graphing)]),
-        Project(0, [(Fraction(1), rep)]),
-        cut,
+        Project(0, [(Fraction(1), representation(word, psi=m.psi))]),
+        m.psi.interface_mset(),
     )
 
 
-def accepts(m: Machine, w: str, psi: VertexTable | None = None) -> bool:
-    psi = psi or m.psi
-    result = compute(m, w, psi)
-    return decide_against_test(result, t_minus(psi)) == "pass"
+def accepts(m: Machine, w: str) -> bool:
+    return decide_against_test(compute(m, w), m.psi) == "pass"
 
 
 def language_m(m: Machine, max_len: int) -> list[str]:

@@ -90,21 +90,19 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     arcs = 0
 
     # a node is (cell, side to fire, that side's state, the idle side's state)
-    def step(side, k, cell, idle):
-        return (cg.image(side, k, cell), 1 - side, idle, cg.edge(side, k).out_state)
-
     def successors(node):
         nonlocal arcs
         cell, turn, state, idle = node
         if idle in live[1 - turn]:
-            for k in cg.edges_from(turn, state, cell):
+            for k, img in cg.arrows(turn, state, cell):
                 arcs += 1
                 if arcs > budget:
                     raise IterationCapExceeded(
                         f"circuit search grew past {budget} arrows")
-                yield step(turn, k, cell, idle)
+                yield img, 1 - turn, idle, cg.edge(turn, k).out_state
 
-    flagged = [((cell, side, e.in_state, idle), step(side, k, cell, idle))
+    flagged = [((cell, side, e.in_state, idle),
+                (cg.image(side, k, cell), 1 - side, idle, e.out_state))
                for side, h in enumerate((f, g))
                for k, e in enumerate(h.edges) if e.weight.flag
                for cell in cg.source_cells(side, k)
@@ -413,7 +411,6 @@ class TestFamily:
     block, scaled by an arbitrary nonzero scalar."""
 
     graphing: GraphingRep
-    psi: VertexTable
 
     def project(self) -> Project:
         return Project(SymValue(0, 1), [(Fraction(1), self.graphing)])
@@ -422,15 +419,12 @@ class TestFamily:
 def t_minus(psi: VertexTable = DEFAULT_PSI) -> TestFamily:
     edge = Edge(psi.mset("r"), 0, 0, TransformationDescriptor(), Weight(1, 1))
     graphing = GraphingRep(psi.answers_mset(), 1, [edge])
-    return TestFamily(graphing, psi)
+    return TestFamily(graphing)
 
 
-def decide_against_test(p: Project, tf: TestFamily | None = None,
-                        psi: VertexTable = DEFAULT_PSI,
+def decide_against_test(p: Project, psi: VertexTable = DEFAULT_PSI,
                         cap: int | None = None) -> str:
-    """Run a computed project against the answer test: "pass" when the
-    project is orthogonal to it, "fail" otherwise.  The cap bounds the
-    circuit search."""
-    if tf is None:
-        tf = t_minus(psi)
-    return "pass" if orthogonal(p, tf.project(), cap=cap) else "fail"
+    """Run a computed project against the answer test on psi's blocks:
+    "pass" when the project is orthogonal to it, "fail" otherwise.  The
+    cap bounds the circuit search."""
+    return "pass" if orthogonal(p, t_minus(psi).project(), cap=cap) else "fail"

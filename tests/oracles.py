@@ -208,7 +208,7 @@ def ref_cells(m, n, bound):
 # -- the edges that fire at a cell --------------------------------------------
 #
 # Read off the source cells of every edge and its in-state alone: no
-# `applicable`, no index.
+# `arrows`, no index.
 
 
 def ref_source_lists(cells, side):
@@ -281,15 +281,15 @@ def ref_flagged_circuit(cells, f, g):
 def ref_first_live_rotation(cells, canon):
     """The first rotation of canon that some cell walks, with its start map
     {start cell: end cell}, or None when no rotation is live.  `cells` is a
-    cell decomposition: source_cells(side, k), applicable(side, k, cell)
-    and image(side, k, cell)."""
+    cell decomposition: source_cells(side, k) and image(side, k, cell)."""
+    sources = {lab: set(cells.source_cells(*lab)) for lab in set(canon)}
     for i in range(len(canon)):
         rot = canon[i:] + canon[:i]
         starts = {}
         for cell in cells.source_cells(*rot[0]):
             end = cell
             for side, k in rot:
-                if not cells.applicable(side, k, end):
+                if end not in sources[side, k]:
                     break
                 end = cells.image(side, k, end)
             else:

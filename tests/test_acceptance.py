@@ -137,7 +137,7 @@ def test_criterion_05_verdicts_survive_renaming():
                     bad.append((name, "rename", w))
         alt = automaton_to_machine(a, ALT_PSI)
         for w, want in base.items():
-            if accepts(alt, w, ALT_PSI) != want:
+            if accepts(alt, w) != want:
                 bad.append((name, "psi", w))
     _report(5, "verdicts ignore dialect names and the vertex table",
             not bad, f"5 renamings + 2 tables per automaton, {len(bad)} off")

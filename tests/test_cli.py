@@ -235,6 +235,35 @@ def test_correspond_reports_bijection(capsys):
     assert "bijection" in out
 
 
+def test_correspond_finds_the_start_tag_wherever_its_transition_sits(capsys, tmp_path):
+    # the start state's dialect tag does not depend on the order of the
+    # transitions: here the first one does not leave the start state
+    doc = parity_automaton().to_json()
+    doc["transitions"].append(doc["transitions"].pop(0))
+    moved = tmp_path / "parity-moved.json"
+    moved.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "correspond", str(moved), "--word", "0110",
+                       "--max-steps", "4")
+    assert code == 0
+    assert out == run(capsys, "correspond", "parity", "--word", "0110",
+                      "--max-steps", "4")[1]
+    assert out.endswith("\nbijection\n") and "mismatch" not in out
+
+
+def test_max_len_zero_lists_no_paths(capsys, tmp_path, conveyor, doubler):
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    left.write_text(json.dumps(conveyor.to_json()))
+    right.write_text(json.dumps(doubler.to_json()))
+    assert run(capsys, "paths", str(left), str(right), "--max-len", "0") == \
+        (0, "total 0\n", "")
+    # an edge could fire, so a plug cut off at length 0 is truncated
+    code, out, err = run(capsys, "exec", str(left), str(right),
+                         "--cut", json.dumps(seg(1, 4).to_json()), "--max-len", "0")
+    assert (code, out) == (2, "")
+    assert "NonTerminating" in err
+
+
 def test_paths_and_exec_and_measure(capsys, tmp_path, conveyor, doubler):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"

@@ -141,6 +141,26 @@ def test_rigid_plug_refuses_to_truncate_silently():
         assert not cropped.edges
 
 
+def test_max_len_zero_records_no_path_on_either_route(conveyor, doubler):
+    # no walk records a path longer than max_len
+    m = automaton_to_machine(parity_automaton())
+    assert alternating_paths(conveyor, doubler, max_len=0) == []
+    assert alternating_paths(m.graphing, representation("01"), max_len=0) == []
+    # a plug at max_len 0 is truncated whenever an edge could fire: the
+    # exact route, then the cell route
+    for f, g, cut in ((conveyor, doubler, seg(1, 4)),
+                      (m.graphing, representation("0110"), DEFAULT_PSI.interface_mset())):
+        with pytest.raises(NonTerminating):
+            plug(f, g, cut, max_len=0)
+        assert not plug(f, g, cut, max_len=0, allow_truncation=True).edges
+    # and is not when every source lies in the cut
+    inside = GraphingRep(seg(1, 2), 1, [line_edge(1, Fraction(3, 2), 2, -1)])
+    rigid = GraphingRep(seg(1, 2), 1, [line_edge(1, 2, 1, 0)])
+    empty = GraphingRep(seg(5, 6), 1, [])
+    for f in (inside, rigid):
+        assert not plug(f, empty, seg(1, 2), max_len=0).edges
+
+
 def test_spent_budget_raises_on_both_routes(conveyor, doubler):
     # allow_truncation covers max_len only: a spent budget is never an
     # empty composite, on the exact route as on the cell route
@@ -189,13 +209,13 @@ def test_cell_decompose_requires_rigidity(conveyor, doubler):
 def test_cell_decompose_word_graphing():
     w = word_graphing("01")
     cg = cell_decompose([w])
-    # every edge is applicable at exactly the cells of its source
+    # every edge fires at exactly the cells of its source
     for j, e in enumerate(w.edges):
         srcs = ref_cells(e.source, cg.n, cg.N)
         assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
-            assert cg.applicable(0, j, c)
             img = cg.image(0, j, c)
+            assert (j, img) in cg.arrows(0, None, c)
             assert img != c or e.mapd.is_identity()
 
 
@@ -209,9 +229,10 @@ def test_any_state_index_and_successors_chain():
         group = dict(enumerate(cells))
         idle = (1, 2)
         for side, h in enumerate((f, g)):
+            sources = [set(cg.source_cells(side, k)) for k in range(len(h.edges))]
             for cell in cells:
-                live = [k for k in range(len(h.edges)) if cg.applicable(side, k, cell)]
-                assert cg.edges_from(side, None, cell) == live
+                live = [k for k, src in enumerate(sources) if cell in src]
+                assert [k for k, _img in cg.arrows(side, None, cell)] == live
                 free = [(k, e) for k, e, _, _ in cg.successors((FREE, side), {cell: cell})]
                 assert free == [(k, h.edges[k]) for k in live]
                 for state in range(h.dialect_size):
@@ -231,8 +252,9 @@ def test_any_state_index_and_successors_chain():
                 got = {k: moved for k, _e, _nxt, moved in cg.successors((st, side), group)}
                 want = {}
                 for i, cell in group.items():
-                    for k in cg.edges_from(side, state, cell):
-                        want.setdefault(k, {})[i] = cg.image(side, k, cell)
+                    for k, src in enumerate(sources):
+                        if cell in src and state in (None, h.edges[k].in_state):
+                            want.setdefault(k, {})[i] = cg.image(side, k, cell)
                 assert got == want and list(got) == sorted(want)
 
 
@@ -252,36 +274,46 @@ def _series_shaped_pairs(rng):
     return pairs
 
 
-def _assert_edges_from_matches_sources(cg):
-    """edges_from against ref_edges_from on every side, for state None and
+def _assert_arrows_match_sources(cg):
+    """arrows against ref_edges_from on every side, for state None and
     every state of the side's dialect, at every cell of the blocks the
-    sources touch and one block either side."""
+    sources touch and one block either side; each image is the cell that
+    the edge's map sends the cell's set onto."""
     blocks = [cell[0] for *_, cell, _dst in ref_arrows(cg)]
     cubes = list(product(range(cg.n), repeat=cg.N))
     for side, h in enumerate(cg.gs):
         lists = ref_source_lists(cg, side)
+        # (map, cell, image) triples already checked: edges share maps
+        checked = set()
         for state in (None, *range(h.dialect_size)):
             for blk in range(min(blocks) - 1, max(blocks) + 2):
                 for cube in cubes:
                     cell = (blk, cube)
-                    assert cg.edges_from(side, state, cell) == \
+                    got = cg.arrows(side, state, cell)
+                    assert [k for k, _img in got] == \
                         ref_edges_from(cg, side, state, cell, lists), (side, state, cell)
+                    for k, img in got:
+                        key = (h.edges[k].mapd, cell, img)
+                        if key not in checked:
+                            assert cg.cell_mset(img) == \
+                                key[0].apply_mset(cg.cell_mset(cell)), (side, k, cell)
+                            checked.add(key)
 
 
-def test_edges_from_matches_the_source_cells():
+def test_arrows_match_the_source_cells():
     rng = random.Random(41)
     for i in range(30):
         f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], dialect=(2, 3)[i % 2],
                                  blocks=(0, 1, 2, 3), edges_each=5, wide=True)
-        _assert_edges_from_matches_sources(cell_decompose([f, g]))
+        _assert_arrows_match_sources(cell_decompose([f, g]))
     for f, g in _series_shaped_pairs(rng):
         cg = cell_decompose([f, g])
         assert cg.N == 0
-        _assert_edges_from_matches_sources(cg)
+        _assert_arrows_match_sources(cg)
     rep = representation("0110100110010111")
     for a in (parity_automaton(), zeros_ones_automaton()):
         m = automaton_to_machine(a)
-        _assert_edges_from_matches_sources(cell_decompose([m.graphing, rep]))
+        _assert_arrows_match_sources(cell_decompose([m.graphing, rep]))
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -297,12 +329,26 @@ def test_cell_walk_tries_at_most_two_edges_per_arrow(monkeypatch, capsys):
     # the word puts one edge per tape position on a block: a scan of the
     # block's edges would try about one per position for each arrow
     counts = Counter()
-    for name in ("applicable", "image"):
-        _count_calls(monkeypatch, CellGraph, name, counts)
+    covers, arrows = execution._covers, CellGraph.arrows
+
+    def counted_covers(*args):
+        counts["tries"] += counts["inside"]
+        return covers(*args)
+
+    def counted_arrows(*args):
+        counts["inside"] = 1
+        try:
+            out = arrows(*args)
+        finally:
+            counts["inside"] = 0
+        counts["arrows"] += len(out)
+        return out
+    monkeypatch.setattr(execution, "_covers", counted_covers)
+    monkeypatch.setattr(CellGraph, "arrows", counted_arrows)
     assert cli.main(["decide", "parity", "0110" * 64]) == 0
     assert capsys.readouterr().out == "pass\n"
-    assert counts["image"] > 1000
-    assert counts["applicable"] <= 2 * counts["image"]
+    assert counts["arrows"] > 1000
+    assert 0 < counts["tries"] <= 2 * counts["arrows"]
 
 
 def test_exact_walk_intersections_per_arrow_stay_flat(monkeypatch):
