@@ -9,11 +9,11 @@ not execute their move component.
 
 from __future__ import annotations
 
-from collections import deque
+from operator import getitem
 from typing import NamedTuple, Sequence
 
 from .space import _int_field
-from .words import IN, OUT, _check_word, _words_upto
+from .words import IN, OUT, SYMBOLS, _check_word, _words_upto
 
 __all__ = [
     "MARKER",
@@ -32,6 +32,7 @@ __all__ = [
 
 MARKER = "*"
 HALTING = ("accept", "reject")
+_SYM = {s: c for c, s in enumerate(SYMBOLS)}
 
 
 def _str_field(value, field: str) -> str:
@@ -93,10 +94,22 @@ class MultiheadAutomaton:
         problems = self.check()
         if problems:
             raise ValueError("; ".join(problems))
-        index: dict[tuple[str, tuple[str, ...]], list[Transition]] = {}
+        # The step table: states and symbols as codes, one slot per state
+        # and reads, holding (transition, next code, head index, step).
+        # Each distinct reads tuple is summed once.
+        self._code = code = {q: c for c, q in enumerate(self.states)}
+        self._width = width = 3 ** self.heads
+        reads: dict[tuple[str, ...], int] = {}
+        table: dict[int, list] = {}
         for t in self.transitions:
-            index.setdefault((t.state, t.read), []).append(t)
-        self._index = index
+            read, state, head, direction, nxt = t
+            r = reads.get(read)
+            if r is None:
+                r = reads[read] = sum(_SYM[s] * 3 ** i for i, s in enumerate(read))
+            step = 0 if nxt in HALTING else 1 if direction == IN else -1
+            table.setdefault(code[state] * width + r, []).append(
+                (t, code[nxt], head - 1, step))
+        self._table = table
 
     def check(self) -> list[str]:
         out = []
@@ -110,24 +123,24 @@ class MultiheadAutomaton:
                 out.append(f"halting state {h!r} missing")
         seen = set()
         for t in self.transitions:
-            if t.state in HALTING:
-                out.append(f"transition leaves halting state {t.state!r}")
-            if t.state not in known or t.next not in known:
+            read, state, head, direction, nxt = t
+            if state in HALTING:
+                out.append(f"transition leaves halting state {state!r}")
+            if state not in known or nxt not in known:
                 out.append(f"transition {t} uses unknown states")
-            if len(t.read) != self.heads:
-                out.append(f"transition {t} reads {len(t.read)} symbols, "
+            if len(read) != self.heads:
+                out.append(f"transition {t} reads {len(read)} symbols, "
                            f"expected {self.heads}")
-            for s in t.read:
-                if s not in (MARKER, "0", "1"):
+            for s in read:
+                if s not in SYMBOLS:
                     out.append(f"transition {t} reads bad symbol {s!r}")
-            if not (1 <= t.head <= self.heads):
-                out.append(f"transition {t} moves head {t.head} of {self.heads}")
-            if t.direction not in (IN, OUT):
-                out.append(f"transition {t} has direction {t.direction!r}")
-            key = (t.state, t.read, t.head, t.direction, t.next)
-            if key in seen:
+            if not (1 <= head <= self.heads):
+                out.append(f"transition {t} moves head {head} of {self.heads}")
+            if direction not in (IN, OUT):
+                out.append(f"transition {t} has direction {direction!r}")
+            if t in seen:
                 out.append(f"duplicate transition {t}")
-            seen.add(key)
+            seen.add(t)
         return out
 
     def to_json(self) -> dict:
@@ -156,56 +169,70 @@ class MultiheadAutomaton:
         return Configuration(self.start, (0,) * self.heads)
 
 
-def _symbol(w: str, pos: int) -> str:
-    return MARKER if pos == 0 else w[pos - 1]
+def _rows(a: MultiheadAutomaton, w) -> list[list[int]]:
+    """Per head i, the code of each position's symbol times 3**i: what
+    head i adds to a slot."""
+    row = [0] + [_SYM[c] for c in _check_word(w)]
+    return [row] + [[s * 3 ** i for s in row] for i in range(1, a.heads)]
+
+
+def _fire(a: MultiheadAutomaton, rows, q: int, heads: tuple[int, ...]):
+    """Each table entry that fires from state code q, with its moved heads."""
+    n = len(rows[0])
+    for entry in a._table.get(q * a._width + sum(map(getitem, rows, heads)), ()):
+        i, step = entry[2], entry[3]
+        yield entry, heads[:i] + ((heads[i] + step) % n,) + heads[i + 1:]
 
 
 def successors(a: MultiheadAutomaton, w: str,
                cfg: Configuration) -> list[tuple[Transition, Configuration]]:
-    if cfg.state in HALTING:
-        return []
-    modulus = len(w) + 1
-    reads = tuple(_symbol(w, p) for p in cfg.heads)
-    out = []
-    for t in a._index.get((cfg.state, reads), ()):
-        if t.next in HALTING:
-            out.append((t, Configuration(t.next, cfg.heads)))
-            continue
-        heads = list(cfg.heads)
-        step = 1 if t.direction == IN else -1
-        heads[t.head - 1] = (heads[t.head - 1] + step) % modulus
-        out.append((t, Configuration(t.next, tuple(heads))))
-    return out
+    return [(t, Configuration(t.next, heads)) for (t, *_), heads
+            in _fire(a, _rows(a, w), a._code[cfg.state], cfg.heads)]
 
 
 def co_accepts(a: MultiheadAutomaton, w: str) -> bool:
-    """No run on w may reach the reject state."""
-    _check_word(w)
-    start = a.initial()
+    """No run on w may reach the reject state.
+
+    A depth-first search on the step table.  A configuration is (state
+    code, heads), the heads packed into one integer in base len(w) + 1;
+    each stack entry also carries what its heads add to a slot, which a
+    step updates for the one head it moves."""
+    rows = _rows(a, w)
+    if a.start in HALTING:
+        return a.start == "accept"
+    n = len(rows[0])
+    place = [n ** i for i in range(a.heads)]
+    table, width, reject = a._table, a._width, a._code["reject"]
+    start = (a._code[a.start], 0)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        if cfg.state == "reject":
-            return False
-        for _t, nxt in successors(a, w, cfg):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    stack = [(*start, 0)]
+    while stack:
+        q, pos, r = stack.pop()
+        for _t, q2, i, step in table.get(q * width + r, ()):
+            if q2 == reject:
+                return False
+            if step:
+                h = pos // place[i] % n
+                h2 = (h + step) % n
+                nxt = (q2, pos + (h2 - h) * place[i])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((*nxt, r + rows[i][h2] - rows[i][h]))
     return True
 
 
 def trace_counts(a: MultiheadAutomaton, w: str, max_len: int) -> dict[int, int]:
     """How many runs of each positive length start from the initial
     configuration."""
-    _check_word(w)
+    rows = _rows(a, w)
     counts: dict[int, int] = {}
-    layer = {a.initial(): 1}
+    layer = {(a._code[a.start], (0,) * a.heads): 1}
     for length in range(1, max_len + 1):
-        nxt: dict[Configuration, int] = {}
-        for cfg, n in layer.items():
-            for _t, c2 in successors(a, w, cfg):
-                nxt[c2] = nxt.get(c2, 0) + n
+        nxt: dict[tuple, int] = {}
+        for (q, heads), k in layer.items():
+            for entry, moved in _fire(a, rows, q, heads):
+                c2 = (entry[1], moved)
+                nxt[c2] = nxt.get(c2, 0) + k
         total = sum(nxt.values())
         if total == 0:
             break

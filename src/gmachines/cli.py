@@ -8,6 +8,7 @@ failed internal check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,7 +205,9 @@ def cmd_correspond(args) -> int:
     return 0 if report["match"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; `main` looks each handler up by name."""
     top = argparse.ArgumentParser(prog="gmachines")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -220,45 +223,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--json", action="store_true", help="JSON verdict")
     common(p)
-    p.set_defaults(fn=cmd_decide)
+    p.set_defaults(fn="cmd_decide")
 
     p = sub.add_parser("encode-automaton", help="compile an automaton")
     p.add_argument("automaton", help="automaton JSON file or builtin name")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     common(p)
-    p.set_defaults(fn=cmd_encode)
+    p.set_defaults(fn="cmd_encode")
 
     p = sub.add_parser("extract-automaton", help="read an automaton off a machine")
     p.add_argument("machine")
     p.add_argument("--mode", choices=("preamble", "verbatim"), default="preamble")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     common(p)
-    p.set_defaults(fn=cmd_extract)
+    p.set_defaults(fn="cmd_extract")
 
     p = sub.add_parser("compare", help="automaton verdicts against its machine")
     p.add_argument("automaton")
     p.add_argument("--max-len", type=_count, default=4)
     common(p)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn="cmd_compare")
 
     p = sub.add_parser("roundtrip", help="compare a compiled machine's extraction")
     p.add_argument("automaton")
     p.add_argument("--mode", choices=("preamble", "verbatim"), default="preamble")
     p.add_argument("--max-len", type=_count, default=4)
     common(p)
-    p.set_defaults(fn=cmd_roundtrip)
+    p.set_defaults(fn="cmd_roundtrip")
 
     p = sub.add_parser("essentialize", help="rewrite a machine onto star swaps")
     p.add_argument("machine")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     common(p)
-    p.set_defaults(fn=cmd_essentialize)
+    p.set_defaults(fn="cmd_essentialize")
 
     p = sub.add_parser("paths", help="count alternating paths of two graphings")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--max-len", type=_count, default=8)
-    p.set_defaults(fn=cmd_paths)
+    p.set_defaults(fn="cmd_paths")
 
     p = sub.add_parser("exec", help="compose two graphings along a cut")
     p.add_argument("left")
@@ -266,21 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", required=True,
                    help="cut as inline JSON or @file")
     p.add_argument("--max-len", type=_count, default=None)
-    p.set_defaults(fn=cmd_exec)
+    p.set_defaults(fn="cmd_exec")
 
     p = sub.add_parser("measure", help="pair two graphings")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=("exact", "series"), default="exact")
     p.add_argument("--tol", default=None, help="series tolerance, e.g. 1/1024")
-    p.set_defaults(fn=cmd_measure)
+    p.set_defaults(fn="cmd_measure")
 
     p = sub.add_parser("correspond", help="runs of an automaton against paths")
     p.add_argument("automaton")
     p.add_argument("--word", required=True)
     p.add_argument("--max-steps", type=_count, default=12)
     common(p)
-    p.set_defaults(fn=cmd_correspond)
+    p.set_defaults(fn="cmd_correspond")
 
     return top
 
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (GMError, ValueError, OSError, AssertionError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

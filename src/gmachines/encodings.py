@@ -22,6 +22,7 @@ mode the automaton may first walk its heads anywhere before anchoring;
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations, product
 from math import factorial
 
@@ -246,6 +247,7 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
     id_sigma = tuple(range(1, n + 1))
     mems = [tuple(c) for c in product(SYMBOLS, repeat=n)]
 
+    @functools.cache
     def name(q, sig, i, mem):
         return f"{q}/{'.'.join(map(str, sig))}/{i}/{''.join(mem)}"
 
@@ -293,11 +295,11 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
                 if back and mode == "verbatim":
                     continue
                 for mem in mems:
+                    src, tgt = name(q0, sig, i, mem), name(q2, sig2, i, mem)
                     for av in reads:
                         if back and av == mem:
                             continue
-                        trans.add(Transition(av, name(q0, sig, i, mem), h2,
-                                             _flip(d2), name(q2, sig2, i, mem)))
+                        trans.add(Transition(av, src, h2, _flip(d2), tgt))
 
     for (lsrc, _, j1, q0, qr) in landings:
         s = lsrc[0]

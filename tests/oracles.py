@@ -41,11 +41,10 @@ def _sym(w, p):
 
 def _steps(doc, w, state, heads):
     n = len(w) + 1
+    reads = tuple(_sym(w, p) for p in heads)
     out = []
     for t in doc["transitions"]:
-        if t["state"] != state:
-            continue
-        if tuple(t["read"]) != tuple(_sym(w, p) for p in heads):
+        if t["state"] != state or tuple(t["read"]) != reads:
             continue
         if t["next"] in ("accept", "reject"):
             out.append((t, t["next"], heads))

@@ -1,13 +1,18 @@
 """Nondeterministic multihead automata with the co-acceptance convention."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gmachines.automata import (Configuration, MultiheadAutomaton, Transition,
-                                co_accepts, language_a, parity_automaton,
-                                successors, trace_counts,
+from gmachines.automata import (IN, OUT, Configuration, MultiheadAutomaton,
+                                Transition, co_accepts, language_a,
+                                parity_automaton, successors, trace_counts,
                                 zeros_ones_automaton)
+from gmachines.words import SYMBOLS
 
-from oracles import all_words, dfa_even_ones, ref_co_accepts, ref_run_counts
+from oracles import (_steps, all_words, dfa_even_ones, ref_co_accepts,
+                     ref_run_counts)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,13 @@ def test_trace_counts_frozen(parity):
     assert trace_counts(parity, "10", 4) == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
+def test_a_word_given_as_a_sequence_reads_its_letters(parity):
+    assert co_accepts(parity, [1]) is co_accepts(parity, "1") is False
+    assert co_accepts(parity, (1, 1)) is co_accepts(parity, "11") is True
+    assert trace_counts(parity, [1], 4) == trace_counts(parity, "1", 4) \
+        == {1: 1, 2: 1, 3: 1}
+
+
 def test_trace_counts_match_oracle(parity, zeros_ones):
     for a in (parity, zeros_ones):
         doc = a.to_json()
@@ -127,3 +139,53 @@ def test_missing_fields_are_named_at_parse():
         t = {k: v for k, v in doc["transitions"][0].items() if k != key}
         with pytest.raises(ValueError, match=f"'{key}' field"):
             MultiheadAutomaton.from_json(dict(doc, transitions=[t]))
+
+
+@st.composite
+def random_automata(draw):
+    """A small automaton with the init start and the two halting states:
+    1-3 heads, 2-5 working states, In and Out moves, steps into accept and
+    reject.  A rule reads one symbol on one head, or anything, and makes
+    one or two moves, so runs branch.  Init has one rule, from the marker
+    into the working states; each working state has one to three, and one
+    working state one more, into reject.  Only a rule that reads a letter
+    may reject, so that verdicts depend on the word."""
+    heads = draw(st.integers(1, 3))
+    work = [f"q{i}" for i in range(draw(st.integers(2, 5)))]
+    letter = st.tuples(st.integers(0, heads - 1), st.sampled_from("01"))
+    rule = st.one_of(letter, st.just((0, None)))
+
+    def moves(targets):
+        return st.lists(st.tuples(st.integers(1, heads), st.sampled_from((IN, OUT)),
+                                  st.sampled_from(targets)),
+                        min_size=1, max_size=2, unique=True)
+
+    rules = [("init", (0, "*"), draw(moves(work)))]
+    for state in work:
+        for h, sym in draw(st.lists(rule, min_size=1, max_size=3)):
+            halts = ["accept"] + ["reject"] * (sym is not None)
+            rules.append((state, (h, sym), draw(moves(work + halts))))
+    rules.append((draw(st.sampled_from(work)), draw(letter),
+                  draw(moves(["reject"]))))
+    trans = {}
+    for state, (h, sym), steps in rules:
+        for read in product(SYMBOLS, repeat=heads):
+            if sym is None or read[h] == sym:
+                for head, d, nxt in steps:
+                    trans[Transition(read, state, head, d, nxt)] = None
+    return MultiheadAutomaton(heads, ["init"] + work + ["accept", "reject"],
+                              list(trans))
+
+
+@given(random_automata(), st.sampled_from(all_words(6)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_generated_automata_match_the_reference_semantics(a, word):
+    doc = a.to_json()
+    for w in all_words(6):
+        assert co_accepts(a, w) == ref_co_accepts(doc, w), w
+        assert trace_counts(a, w, 4) == ref_run_counts(doc, w, 4), w
+    for state in a.states:
+        for heads in product(range(len(word) + 1), repeat=a.heads):
+            got = [(t.to_json(), c.state, c.heads)
+                   for t, c in successors(a, word, Configuration(state, heads))]
+            assert got == _steps(doc, word, state, heads), (state, heads)

@@ -111,6 +111,12 @@ GOLDEN = {
     "roundtrip-parity-verbatim": (
         ["roundtrip", "parity", "--mode", "verbatim", "--max-len", "3"],
         0, "cae617502f96dd31fe69808a15550c6b66e1d6d75e9f3b5e1dff8211f88025bf"),
+    "roundtrip-zeros-ones-preamble": (
+        ["roundtrip", "zeros-ones", "--max-len", "4"],
+        0, "8d0eebaaafd6cf6e9a7547001e39fda347fbf95732c86df87e469a357a32c1d8"),
+    "roundtrip-zeros-ones-verbatim": (
+        ["roundtrip", "zeros-ones", "--mode", "verbatim", "--max-len", "4"],
+        0, "8d0eebaaafd6cf6e9a7547001e39fda347fbf95732c86df87e469a357a32c1d8"),
     "decide-zeros-ones-json": (
         ["decide", "zeros-ones", "000111", "--json"],
         0, "89b0d784b11f70ed21736d3aca940b8a78f8edbd22b2481b786843fc18242c2b"),
