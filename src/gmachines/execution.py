@@ -21,7 +21,10 @@ The cell engine is one walk on a finite product graph.  A node is
 that side's first edge and its current out-state, both None while the
 side has not fired.  Rigid maps act on cells as a group, so a walk's
 node, map and weight depend only on its labels: the walks sharing them
-move as one group {start cell: cell}.  Every set the walk reads, each
+move as one group {start cell: cell}.  A walk carries its map as grid
+integers (`CellGraph.compose`) and its weight as dilation and flag; a
+descriptor is built only when a result is read out, once per distinct
+map (`CellGraph.descriptor`).  Every set the walk reads, each
 edge's source and the cut, is read once into boxes of grid indices
 (`CellGraph.grid_boxes`), so whether a cell lies in one is a range test
 (`_covers`) and the cut is never listed cell by cell.  `_chain` fires an
@@ -58,7 +61,7 @@ from .errors import (
     OverlappingSupports,
 )
 from .graphings import Edge, GraphingRep, ONE, Project, SymValue, Weight
-from .microcosm import IDENTITY, TransformationDescriptor
+from .microcosm import IDENTITY, Perm, TransformationDescriptor
 from .space import Box, Interval, MSet
 
 __all__ = [
@@ -78,16 +81,20 @@ ENV_CAP = "GM_MAX_PATH_LEN"
 
 
 def expansion_cap(override: int | None = None) -> int:
-    """Iteration budget: explicit override, else environment, else default."""
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(ENV_CAP)
-    if not raw:
-        return DEFAULT_CAP
+    """Iteration budget: explicit override, else environment, else default.
+    A negative budget is a ValueError naming where it came from."""
+    what, raw = "cap", override
+    if override is None:
+        what, raw = ENV_CAP, os.environ.get(ENV_CAP)
+        if not raw:
+            return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{what} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{what} must be at least 0, got {cap}")
+    return cap
 
 
 Cell = tuple[int, tuple[int, ...]]
@@ -150,9 +157,13 @@ class CellGraph:
     reads, an edge's source or a cut, is read once into grid boxes
     (`grid_boxes`): a run of blocks and one range of grid indices per
     coordinate, so membership is a range test (`_covers`).  Arrows are
-    computed on demand: the graph only stores, per edge, its source boxes,
-    its block offset, and, per coordinate of the image, the coordinate it
-    reads and the grid steps it shifts by.  `arrows` is the one place that
+    computed on demand: the graph only stores, per edge, its source boxes
+    and its map as integers, (block offset, moves), the moves giving per
+    coordinate of the image the coordinate it reads and the grid steps it
+    shifts by.  Walks compose these integer maps (`compose`) and turn one
+    into a descriptor only to read a result out (`descriptor`, once per
+    map); `steps` holds each edge's map with its dilation and flag.
+    `arrows` is the one place that
     tries edges at a cell: it returns the edges firing there with their
     images, found by slab lookup.  Per side, block and in-state (and
     under in-state None for a side that may bind any), coordinate 1 is cut
@@ -166,9 +177,14 @@ class CellGraph:
         self.gs = list(gs)
         self.n = grid
         self.N = bound
-        # per side and edge: (source boxes, block offset, moves), where
+        # per side and edge: (source boxes, (block offset, moves)), where
         # moves[i] = (j, s) puts cube[j] + s (mod n) at coordinate i + 1
         self._edges: list[list[tuple]] = []
+        # per side and edge, what a walk takes on when the edge fires: that
+        # integer map, its dilation (the int 1 when it is one) and its flag
+        self.steps: list[list[tuple]] = []
+        # integer map -> its descriptor, built when a walk's result is read
+        self._descs: dict[tuple, TransformationDescriptor] = {}
         # (side, in-state, block) -> (edge, coordinate-1 range) per box;
         # each key's slab table is built when a lookup first needs it
         self._spans: dict[tuple[int, int | None, int], list] = {}
@@ -176,6 +192,7 @@ class CellGraph:
         fixed = tuple((c, 0) for c in range(bound))
         for side, g in enumerate(self.gs):
             rules = []
+            steps = []
             for k, e in enumerate(g.edges):
                 d = e.mapd
                 moves = fixed  # shared by the edges that move no coordinate
@@ -187,13 +204,17 @@ class CellGraph:
                         moves[i - 1] = (moves[i - 1][0], int(lam * grid))
                     moves = tuple(moves)
                 boxes = self.grid_boxes(e.source, "edge source")
-                rules.append((boxes, int(d.offset), moves))
+                imap = (int(d.offset), moves)
+                rules.append((boxes, imap))
+                a = e.weight.a
+                steps.append((imap, 1 if a == 1 else a, e.weight.flag))
                 for lo, hi, ranges in boxes:
                     span = (k, *(ranges[0] if ranges else (0, grid)))
                     for blk in range(lo, hi):
                         for state in (e.in_state, None):
                             self._spans.setdefault((side, state, blk), []).append(span)
             self._edges.append(rules)
+            self.steps.append(steps)
 
     # -- geometry of cells -------------------------------------------------
 
@@ -242,9 +263,26 @@ class CellGraph:
 
     def image(self, side: int, k: int, cell: Cell) -> Cell:
         blk, cube = cell
-        _boxes, offset, moves = self._edges[side][k]
+        _boxes, (offset, moves) = self._edges[side][k]
         n = self.n
         return blk + offset, tuple([(cube[j] + s) % n for j, s in moves])
+
+    def compose(self, a: tuple, b: tuple) -> tuple:
+        """Integer map a after b."""
+        bm = b[1]
+        n = self.n
+        return a[0] + b[0], tuple([(bm[j][0], (bm[j][1] + s) % n) for j, s in a[1]])
+
+    def descriptor(self, imap: tuple) -> TransformationDescriptor:
+        """The descriptor of an integer map, built once per map: image
+        coordinate i + 1 reads coordinate j + 1 and is shifted by s/n."""
+        if imap not in self._descs:
+            offset, moves = imap
+            self._descs[imap] = TransformationDescriptor._normal(
+                Fraction(1), Fraction(offset),
+                Perm({j + 1: i + 1 for i, (j, _s) in enumerate(moves)}),
+                tuple((i + 1, Fraction(s, self.n)) for i, (_j, s) in enumerate(moves) if s))
+        return self._descs[imap]
 
     def arrows(self, side: int, state: int | None, cell: Cell) -> list[tuple[int, Cell]]:
         """The arrows leaving a cell on one side from a dialect state, as
@@ -261,12 +299,12 @@ class CellGraph:
         rules = self._edges[side]
         if not cube:
             # bound 0: the one slab is the whole block, which each listed edge covers
-            return [(k, (blk + rules[k][1], ())) for k in table[1][0]]
+            return [(k, (blk + rules[k][1][0], ())) for k in table[1][0]]
         n = self.n
         out = []
         for ks in _slabs_meeting(table, cube[0], cube[0] + 1):
             for k in ks:
-                boxes, offset, moves = rules[k]
+                boxes, (offset, moves) = rules[k]
                 if _covers(boxes, cell):
                     img = tuple([(cube[j] + s) % n for j, s in moves])
                     out.append((k, (blk + offset, img)))
@@ -465,23 +503,26 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
 
 def _plug_cells(cg: CellGraph, cut, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
-    the cut; a walk becomes a composite edge where it leaves the cut."""
+    the cut; a walk becomes a composite edge where it leaves the cut.  A
+    walk carries its map as integers and its weight as dilation and flag;
+    each distinct map becomes a descriptor only when results are read."""
     boxes = cg.grid_boxes(cut, "cut")
+    # keys (start cell, dialect pair, map, dilation, flag)
     results: dict = {}
     budget = expansion_cap(cap)
     fires = 0
     truncated = False
     queue: deque = deque()
-    # (node, map, weight) -> start cells; the map fixes each one's cell
+    # (node, map, dilation, flag) -> start cells; the map fixes each one's cell
     seen: dict = {}
 
-    def reach(node, desc, weight, cells, length):
+    def reach(node, imap, a, flag, cells, length):
         nonlocal fires
         fires += len(cells)
         if fires > budget:
             raise NonTerminating(
                 f"plug exceeded the budget of {budget} cell-arrow expansions")
-        known = seen.setdefault((node, desc, weight), set())
+        known = seen.setdefault((node, imap, a, flag), set())
         inside = {}
         for start, cell in cells.items():
             if start in known:
@@ -490,26 +531,27 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
             if _covers(boxes, cell):
                 inside[start] = cell
             else:
-                results[(start, node[0], desc.key(), weight.a, weight.flag)] = \
-                    (start, node[0], desc, weight)
+                results[start, node[0], imap, a, flag] = None
         if inside:
-            queue.append((node, desc, weight, inside, length))
+            queue.append((node, imap, a, flag, inside, length))
 
     for side, k, node, cells in cg.seeds(boxes):
         if max_len == 0:
             # a seed is an arrow that would make a path of length 1
             return [], True
-        e = cg.edge(side, k)
-        reach(node, e.mapd, e.weight, cells, 1)
+        reach(node, *cg.steps[side][k], cells, 1)
     while queue:
-        node, desc, weight, cells, length = queue.popleft()
+        node, imap, a, flag, cells, length = queue.popleft()
         if max_len is not None and length >= max_len:
             truncated = True
             continue
-        for _k, e, nxt, moved in cg.successors(node, cells):
-            reach(nxt, e.mapd.compose(desc), weight * e.weight, moved, length + 1)
-    return [(cg.cell_mset(start), st, desc, weight)
-            for start, st, desc, weight in results.values()], truncated
+        fire = cg.steps[node[1]]
+        for k, _e, nxt, moved in cg.successors(node, cells):
+            emap, dil, eflag = fire[k]
+            reach(nxt, cg.compose(emap, imap), a if dil == 1 else a * dil,
+                  flag | eflag, moved, length + 1)
+    return [(cg.cell_mset(start), st, cg.descriptor(imap), Weight(a, flag))
+            for start, st, imap, a, flag in results], truncated
 
 
 def _plug_general(f, g, cut, cap, max_len):
@@ -564,9 +606,9 @@ def _composite(f: GraphingRep, g: GraphingRep, cut: MSet, found) -> GraphingRep:
     return GraphingRep(support, f.dialect_size * g.dialect_size, edges)
 
 
-def plug_projects(p: Project, q: Project, cut: MSet) -> Project:
+def plug_projects(p: Project, q: Project, cut: MSet, cap: int | None = None) -> Project:
     """Plug projects: mix the wrappers, measure the cross terms, plug the
-    graphings pairwise."""
+    graphings pairwise.  The cap is the budget of each plug and search."""
     from .measurement import INF, measure_graphings
 
     wrapper = p.wrapper.scale(q.coeff_sum()) + q.wrapper.scale(p.coeff_sum())
@@ -577,11 +619,11 @@ def plug_projects(p: Project, q: Project, cut: MSet) -> Project:
             # a circuit is flagged only if some edge is, so fully
             # unflagged pairs measure to zero without a search
             if any(e.weight.flag for e in ga.edges + gb.edges):
-                m = measure_graphings(ga, gb)
+                m = measure_graphings(ga, gb, cap=cap)
                 if m is INF:
                     raise ValueError("cross measurement diverges while plugging")
                 cross = cross + SymValue(m).scale(ca * cb)
-            terms.append((ca * cb, plug(ga, gb, cut)))
+            terms.append((ca * cb, plug(ga, gb, cut, cap=cap)))
     return Project(wrapper + cross, terms)
 
 

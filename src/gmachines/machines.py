@@ -76,17 +76,21 @@ def validate_machine(g: GraphingRep, psi: VertexTable = DEFAULT_PSI,
     return diags
 
 
-def compute(m: Machine, word: str) -> Project:
-    """Run a machine against a word, on the machine's vertex blocks."""
+def compute(m: Machine, word: str, cap: int | None = None) -> Project:
+    """Run a machine against a word, on the machine's vertex blocks; the
+    cap is the budget of the plug."""
     return plug_projects(
         Project(0, [(Fraction(1), m.graphing)]),
         Project(0, [(Fraction(1), representation(word, psi=m.psi))]),
         m.psi.interface_mset(),
+        cap,
     )
 
 
-def accepts(m: Machine, w: str) -> bool:
-    return decide_against_test(compute(m, w), m.psi) == "pass"
+def accepts(m: Machine, w: str, cap: int | None = None) -> bool:
+    """Does the machine pass w?  The cap is the budget of every plug and
+    circuit search on the way; None reads it from the environment."""
+    return decide_against_test(compute(m, w, cap), m.psi, cap) == "pass"
 
 
 def language_m(m: Machine, max_len: int) -> list[str]:

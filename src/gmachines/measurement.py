@@ -11,9 +11,9 @@ it expands.  With dilations below one the series converges and is summed
 in closed form per circuit orbit, with a certified geometric bound on the
 enumeration tail.  That bound does not depend on the circuits, so the
 length is fixed once from it and the circuits are listed by one DFS over
-label sequences, each carrying its composed map, weight and the start
-cells that walk it; each circuit's orbits come from the walks of its
-first live rotation.
+label sequences, each carrying its composed map (as grid integers),
+weight and the start cells that walk it; each circuit's orbits come from
+the walks of its first live rotation.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -232,22 +232,23 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     circuits are the remaining ones below that length.  Each circuit
     comes as the first rotation, from its least one on, that some cell
     walks, with that rotation's orbits.  One DFS over label sequences
-    reads it all off: each carries its composed map, weight and walks
-    {start cell: cell}, and the walks of the first live rotation are its
-    start map.
+    reads it all off: each carries its composed map as grid integers, its
+    dilation and flag, and its walks {start cell: cell}, and the walks of
+    the first live rotation are its start map.  The map becomes a
+    descriptor, and the weight a Weight, only for the circuits returned.
     """
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
-    # least canon -> (offset, map, weight, {start cell: end cell}) of its
-    # first rotation that some cell walks
+    # least canon -> (offset, integer map, dilation, flag, {start cell: end
+    # cell}) of its first rotation that some cell walks
     found: dict[tuple, tuple] = {}
     steps = 0
-    # depth-first over label sequences, each carrying its composed map,
-    # weight and walks {start cell: cell}
-    stack = [(((side, k),), node, cg.edge(side, k).mapd, cg.edge(side, k).weight, cells)
+    # depth-first over label sequences, each carrying its composed integer
+    # map, dilation, flag and walks {start cell: cell}
+    stack = [(((side, k),), node, *cg.steps[side][k], cells)
              for side, k, node, cells in cg.seeds()]
     while stack:
-        labels, node, desc, weight, cells = stack.pop()
+        labels, node, imap, a, flag, cells = stack.pop()
         steps += len(cells)
         if steps > budget:
             raise IterationCapExceeded(
@@ -257,17 +258,24 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
                 and ff is not None and fg is not None):
             canon, offset = _canonical_rotation(labels)
             if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
-                found[canon] = (offset, desc, weight, cells)
+                found[canon] = (offset, imap, a, flag, cells)
         if len(labels) >= max_len:
             continue
-        for k, e, nxt, moved in cg.successors(node, cells):
-            stack.append((labels + ((turn, k),), nxt,
-                          e.mapd.compose(desc), weight * e.weight, moved))
+        fire = cg.steps[turn]
+        for k, _e, nxt, moved in cg.successors(node, cells):
+            emap, dil, eflag = fire[k]
+            stack.append((labels + ((turn, k),), nxt, cg.compose(emap, imap),
+                          a if dil == 1 else a * dil, flag | eflag, moved))
     vol = cg.cell_volume()
     out = []
+    # circuits share few weights: each is built once
+    weights: dict[tuple, Weight] = {}
     for canon in sorted(found):
-        i, composed, weight, starts = found[canon]
-        out.append(Circuit(canon[i:] + canon[:i], weight, composed,
+        i, imap, a, flag, starts = found[canon]
+        if (a, flag) not in weights:
+            weights[a, flag] = Weight(a, flag)
+        composed = cg.descriptor(imap)
+        out.append(Circuit(canon[i:] + canon[:i], weights[a, flag], composed,
                            _orbits(starts, composed, vol)))
     return out
 

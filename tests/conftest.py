@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from gmachines.automata import MultiheadAutomaton, Transition
 from gmachines.graphings import Edge, GraphingRep, Weight
 from gmachines.machines import Machine
 from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import Box, Interval, MSet
-from gmachines.words import DEFAULT_PSI, IN, OUT
+from gmachines.words import DEFAULT_PSI, IN, OUT, SYMBOLS
 
 
 def seg(lo, hi, **coords):
@@ -159,3 +161,33 @@ def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
         return GraphingRep(support, dialect, out)
 
     return one_graphing(), one_graphing()
+
+
+def odometer(k, reject_ones=False):
+    """A k-head automaton that counts like an odometer whose digits are
+    head positions, the marker being 0.  Head 1 sweeps the tape; each time
+    head i wraps onto the marker, head i + 1 steps, and the heads below it
+    wait on the marker until the carry ends.  When head k wraps, every
+    head is on the marker and it accepts, after about (n + 1)^k steps on
+    n letters.  With reject_ones, a 1 under head k while the others wait
+    on the marker sends head k round to the marker and into reject: every
+    position comes under head k at such a moment, so the language is 0*.
+    Only the reads that a run can meet get a transition."""
+    c = [None] + [f"c{i}" for i in range(1, k + 1)]
+    trans = [Transition(("*",) * k, "init", 1, IN, "c1")]
+    for read in product(SYMBOLS, repeat=k):
+        # c_i runs with the heads below i on the marker
+        for i in range(1, k + 1):
+            if set(read[:i - 1]) <= {"*"}:
+                if reject_ones and i == k and read[i - 1] == "1":
+                    trans.append(Transition(read, c[i], k, IN, "rewind"))
+                elif read[i - 1] != "*":
+                    trans.append(Transition(read, c[i], 1, IN, "c1"))
+                elif i < k:
+                    trans.append(Transition(read, c[i], i + 1, IN, c[i + 1]))
+                else:
+                    trans.append(Transition(read, c[i], 1, IN, "accept"))
+        if reject_ones and set(read[:-1]) <= {"*"}:
+            trans.append(Transition(read, "rewind", k, IN, "rewind") if read[-1] != "*"
+                         else Transition(read, "rewind", 1, IN, "reject"))
+    return MultiheadAutomaton(k, ["init", *c[1:], "rewind", "accept", "reject"], trans)

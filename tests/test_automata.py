@@ -11,6 +11,7 @@ from gmachines.automata import (IN, OUT, Configuration, MultiheadAutomaton,
                                 zeros_ones_automaton)
 from gmachines.words import SYMBOLS
 
+from conftest import odometer
 from oracles import (_steps, all_words, dfa_even_ones, ref_co_accepts,
                      ref_run_counts)
 
@@ -189,3 +190,15 @@ def test_generated_automata_match_the_reference_semantics(a, word):
             got = [(t.to_json(), c.state, c.heads)
                    for t, c in successors(a, word, Configuration(state, heads))]
             assert got == _steps(doc, word, state, heads), (state, heads)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_odometer_languages(k):
+    for reject_ones, lang in ((False, lambda w: True), (True, lambda w: "1" not in w)):
+        a = odometer(k, reject_ones)
+        doc = a.to_json()
+        for w in all_words(6):
+            assert co_accepts(a, w) == ref_co_accepts(doc, w) == lang(w), (k, w)
+    # the count takes about (n + 1)^k steps to accept
+    runs = trace_counts(odometer(k), "01", 3 ** k + 1)
+    assert 3 ** k - 1 <= max(runs) <= 3 ** k + 1, runs

@@ -188,6 +188,17 @@ def test_junk_budget_variable_exits_two(capsys, monkeypatch):
     assert "GM_MAX_PATH_LEN" in err
 
 
+@pytest.mark.parametrize("budget,err", [
+    ("-1", "error: ValueError: GM_MAX_PATH_LEN must be at least 0, got -1\n"),
+    ("0", "error: NonTerminating: plug exceeded the budget of 0 "
+          "cell-arrow expansions\n"),
+])
+def test_budget_variable_must_not_be_negative(capsys, monkeypatch, budget, err):
+    # a negative budget is refused as input; 0 is a budget that nothing fits
+    monkeypatch.setenv("GM_MAX_PATH_LEN", budget)
+    assert run(capsys, "decide", "parity", "0110") == (2, "", err)
+
+
 def test_essentialize_idempotent_output(capsys, parity_machine_file):
     code, out, _ = run(capsys, "essentialize", parity_machine_file)
     assert code == 0

@@ -15,7 +15,7 @@ from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
                                  alternating_paths, cell_decompose,
                                  cell_path_counts, expansion_cap, plug)
 from gmachines.graphings import GraphingRep, Weight, equivalent
-from gmachines.microcosm import Perm
+from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
@@ -427,6 +427,54 @@ def test_image_matches_the_rational_map():
     assert checked > 10_000
 
 
+def test_integer_maps_match_the_descriptors():
+    # the walks compose integer maps and read descriptors off them; both
+    # must agree with composing the edges' descriptors
+    rng = random.Random(67)
+    perms = [Perm(dict(zip((1, 2, 3), p))) for p in permutations((1, 2, 3))]
+    checked = 0
+    for i in range(40):
+        f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], bound=3, perms=perms,
+                                 blocks=(0, 1, 2, 3), wide=i % 2 == 1)
+        cg = cell_decompose([f, g])
+        labels = [(side, k) for side, h in enumerate((f, g)) for k in range(len(h.edges))]
+        for side, k in labels:
+            assert cg.descriptor(cg.steps[side][k][0]).key() == \
+                cg.edge(side, k).mapd.key(), (i, side, k)
+        for _ in range(10):
+            seq = [rng.choice(labels) for _ in range(rng.randint(1, 8))]
+            imap, desc = cg.steps[seq[0][0]][seq[0][1]][0], cg.edge(*seq[0]).mapd
+            for side, k in seq[1:]:
+                imap = cg.compose(cg.steps[side][k][0], imap)
+                desc = cg.edge(side, k).mapd.compose(desc)
+            assert cg.descriptor(imap).key() == desc.key(), (i, seq)
+            cell = (rng.randrange(4), tuple(rng.randrange(cg.n) for _ in range(cg.N)))
+            end = cell
+            for side, k in seq:
+                end = cg.image(side, k, end)
+            offset, moves = imap
+            assert end == (cell[0] + offset,
+                           tuple((cell[1][j] + s) % cg.n for j, s in moves)), (i, seq)
+            checked += 1
+    assert checked == 400
+
+
+def test_cell_plug_builds_descriptors_only_at_read_out(monkeypatch):
+    # the walk composes integer maps; a descriptor is built once per
+    # distinct map of a composite edge, and none is composed
+    m = automaton_to_machine(zeros_ones_automaton())
+    rep = representation("0" * 32 + "1" * 32)
+    counts = Counter()
+    _count_calls(monkeypatch, TransformationDescriptor, "compose", counts)
+    normal = TransformationDescriptor._normal
+    monkeypatch.setattr(TransformationDescriptor, "_normal", classmethod(
+        lambda cls, *args: counts.update(["_normal"]) or normal(*args)))
+    out = plug(m.graphing, rep, DEFAULT_PSI.interface_mset(), cap=10 ** 9)
+    assert out.edges
+    assert counts["compose"] == 0
+    assert 0 < counts["_normal"] <= len({e.mapd for e in out.edges})
+
+
 def test_cell_counts_refine_path_census():
     rng = random.Random(11)
     for _ in range(10):
@@ -442,11 +490,19 @@ def test_cell_counts_refine_path_census():
 
 def test_expansion_cap_resolution(monkeypatch):
     assert expansion_cap(77) == 77
+    assert expansion_cap(0) == 0
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        expansion_cap(-1)
     monkeypatch.setenv("GM_MAX_PATH_LEN", "123")
     assert expansion_cap() == 123
     monkeypatch.setenv("GM_MAX_PATH_LEN", "junk")
     with pytest.raises(ValueError, match="GM_MAX_PATH_LEN"):
         expansion_cap()
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "-5")
+    with pytest.raises(ValueError, match="GM_MAX_PATH_LEN must be at least 0"):
+        expansion_cap()
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "0")
+    assert expansion_cap() == 0
     monkeypatch.delenv("GM_MAX_PATH_LEN")
     assert expansion_cap() == 10_000
 

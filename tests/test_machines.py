@@ -1,12 +1,14 @@
 """Machines: validation, running words, essential form, language."""
 
 from fractions import Fraction
+from math import log2
 
 import pytest
 
-from gmachines.automata import parity_automaton, zeros_ones_automaton
+from gmachines.automata import co_accepts, parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
-from gmachines.errors import NotEssential
+from gmachines.errors import NonTerminating, NotEssential
+from gmachines.execution import CellGraph
 from gmachines.graphings import Edge, GraphingRep, Weight
 from gmachines.machines import (Machine, accepts, compute, essentialize,
                                 is_essential, language_m, validate_machine)
@@ -15,7 +17,8 @@ from gmachines.microcosm import Perm, TransformationDescriptor, decompose_star
 from gmachines.space import intersect, measure
 from gmachines.words import DEFAULT_PSI, IN, OUT
 
-from conftest import _move, seg
+from conftest import _move, odometer, seg
+from oracles import all_words
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +149,48 @@ def test_json_round_trip(parity_m):
     assert back.head_bound == parity_m.head_bound
     assert len(back.graphing.edges) == len(parity_m.graphing.edges)
     assert language_m(back, 2) == language_m(parity_m, 2)
+
+
+def test_cap_reaches_the_plug_of_a_decide(monkeypatch):
+    m = automaton_to_machine(zeros_ones_automaton())
+    monkeypatch.delenv("GM_MAX_PATH_LEN", raising=False)
+    assert accepts(m, "00001111", cap=10 ** 6)
+    with pytest.raises(NonTerminating):
+        accepts(m, "00001111", cap=100)
+    # an explicit cap overrides the environment's, in the plug and the search
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "1")
+    assert accepts(m, "00001111", cap=10 ** 6)
+    assert not accepts(m, "0001111", cap=10 ** 6)
+
+
+@pytest.mark.parametrize("k,max_len", [(1, 5), (2, 4), (3, 2)])
+def test_odometer_machines_keep_the_language(k, max_len):
+    for reject_ones in (False, True):
+        a = odometer(k, reject_ones)
+        m = automaton_to_machine(a)
+        for w in all_words(max_len):
+            assert accepts(m, w) == co_accepts(a, w), (k, reject_ones, w)
+
+
+# the arrows a decide fires may grow by at most 2^(k + MARGIN) per
+# doubling of the word; the odometer needs about (n + 1)^k steps
+MARGIN = 0.5
+
+
+def test_odometer_decide_work_follows_the_head_count(monkeypatch):
+    fired = [0]
+    arrows = CellGraph.arrows
+
+    def counted(*args):
+        out = arrows(*args)
+        fired[0] += len(out)
+        return out
+    monkeypatch.setattr(CellGraph, "arrows", counted)
+    for k, n in ((1, 16), (2, 8), (3, 4)):
+        m = automaton_to_machine(odometer(k))
+        work = []
+        for length in (n, 2 * n):
+            fired[0] = 0
+            assert accepts(m, ("01" * length)[:length], cap=10 ** 9)
+            work.append(fired[0])
+        assert log2(work[1] / work[0]) <= k + MARGIN, (k, work)

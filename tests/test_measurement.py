@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from gmachines import measurement
 from gmachines.automata import parity_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded
@@ -126,6 +127,33 @@ def test_circuits_read_orbits_from_the_first_live_rotation():
             not_least += rot != canon
     assert (count >= 120 and only_open >= 10 and count - only_open >= 10
             and not_least >= 40), (count, only_open, not_least)
+
+
+def test_circuit_walk_composes_no_descriptor(monkeypatch):
+    # descriptors are composed only to read orbit periods, never per arrow
+    counts = {"walk": 0, "orbits": 0}
+    where = ["walk"]
+    compose, orbits = TransformationDescriptor.compose, measurement._orbits
+
+    def counted_compose(*args):
+        counts[where[0]] += 1
+        return compose(*args)
+
+    def counted_orbits(*args):
+        where[0] = "orbits"
+        try:
+            return orbits(*args)
+        finally:
+            where[0] = "walk"
+    monkeypatch.setattr(TransformationDescriptor, "compose", counted_compose)
+    monkeypatch.setattr(measurement, "_orbits", counted_orbits)
+    rng = random.Random(7)
+    found = 0
+    for i in range(10):
+        f, g = random_rigid_pair(rng, wide=i % 2 == 1)
+        found += len(circuits(f, g, max_len=6))
+    assert found >= 20 and counts["orbits"] > 0
+    assert counts["walk"] == 0
 
 
 def test_t_minus_is_a_flagged_idle_loop():
