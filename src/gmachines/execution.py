@@ -618,7 +618,11 @@ def plug_projects(p: Project, q: Project, cut: MSet, cap: int | None = None) -> 
         for cb, gb in q.terms:
             # a circuit is flagged only if some edge is, so fully
             # unflagged pairs measure to zero without a search
-            if any(e.weight.flag for e in ga.edges + gb.edges):
+            edges = ga.edges + gb.edges
+            if any(e.weight.flag for e in edges):
+                if any(e.weight.a != 1 for e in edges):
+                    raise ValueError("plugging measures cross terms exactly: a flagged "
+                                     "term pair needs every dilation equal to 1")
                 m = measure_graphings(ga, gb, cap=cap)
                 if m is INF:
                     raise ValueError("cross measurement diverges while plugging")

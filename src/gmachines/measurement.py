@@ -7,13 +7,14 @@ actually return do.  With every dilation equal to one this collapses to a
 dichotomy: zero when no flagged circuit exists, infinite otherwise.  The
 search runs on demand over the finite cell structure: it expands only
 what the targets of flagged arrows reach, and its budget counts the arcs
-it expands.  With dilations below one the series converges and is summed
-in closed form per circuit orbit, with a certified geometric bound on the
-enumeration tail.  That bound does not depend on the circuits, so the
-length is fixed once from it and the circuits are listed by one DFS over
-label sequences, each carrying its composed map (as grid integers),
-weight and the start cells that walk it; each circuit's orbits come from
-the walks of its first live rotation.
+it expands.  With dilations below one the series converges: a closed
+orbit of period rho and measure mu under a circuit of dilation a adds
+mu * sum_{n >= 1} gcd(n, rho)/rho * a^lcm(n, rho) over the circuit's
+powers, one sum over the squarefree divisors of rho in closed form.  A
+geometric bound on the tail, which does not depend on the circuits,
+fixes the length once; one DFS over label sequences, each carrying its
+composed map (as grid integers), weight and start cells, lists the
+circuits, whose orbits come from the walks of their first live rotation.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -152,6 +153,8 @@ def _scc(roots, successors) -> dict:
 
 @dataclass(frozen=True)
 class Orbit:
+    """Start cells a circuit's walk chains; the period, the passes that
+    return a generic point, is None exactly for an open orbit."""
     cells: tuple[Cell, ...]
     closed: bool
     period: int | None
@@ -192,7 +195,8 @@ def _is_power(labels: tuple) -> bool:
 def _orbits(starts: dict, composed: TransformationDescriptor,
             vol: Fraction) -> tuple[Orbit, ...]:
     """Split a start map {start cell: end cell} into orbits: a closed one
-    has period q * order(composed^q) over its q cells, or None."""
+    has period q * order(composed^q) over its q cells, as composed^q maps
+    them onto themselves and so has an order."""
     orbits = []
     unvisited = set(starts)
     while unvisited:
@@ -218,8 +222,7 @@ def _orbits(starts: dict, composed: TransformationDescriptor,
             orbits.append(Orbit(tuple(tail), False, None, vol * len(tail)))
         if cycle:
             q = len(cycle)
-            r = composed.power(q).order()
-            orbits.append(Orbit(tuple(cycle), True, None if r is None else q * r,
+            orbits.append(Orbit(tuple(cycle), True, q * composed.power(q).order(),
                                 vol * q))
     return tuple(orbits)
 
@@ -283,48 +286,28 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
 # ---------------------------------------------------------------------------
 # summation
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _coprime_power_sum(m: int, y: Fraction) -> Fraction:
-    """Sum of y^k over k >= 1 coprime to m, for 0 <= y < 1."""
-    total = Fraction(0)
-    for e in _divisors(m):
-        mu = _mobius(e)
-        if mu:
-            ye = y**e
-            total += mu * ye / (1 - ye)
-    return total
-
-
 def _orbit_series(a: Fraction, flag: int, rho: int, mu: Fraction) -> Fraction:
-    """Closed form of the full power series of one closed orbit."""
+    """Closed form of the full power series of a closed orbit of period
+    rho and measure mu under a circuit of dilation a:
+
+        mu * sum_{n >= 1} gcd(n, rho)/rho * a^lcm(n, rho)
+          = mu * sum_{k | rho} moebius(k) * sigma(rho/k)/rho * y^k/(1 - y^k)
+
+    with y = a^rho and sigma the sum of divisors; only squarefree k count."""
     if flag == 0 or a == 0:
         return Fraction(0)
+    # each prime of rho, one that no product of smaller primes divides,
+    # doubles the signed squarefree divisors with signs flipped
+    signed = [(1, 1)]
+    for p in range(2, rho + 1):
+        if rho % p == 0 and all(p % k for k, _s in signed[1:]):
+            signed += [(k * p, -s) for k, s in signed]
     y = a**rho
     total = Fraction(0)
-    for d in _divisors(rho):
-        total += Fraction(d, rho) * _coprime_power_sum(rho // d, y)
-    return mu * total
+    for k, s in signed:
+        m, yk = rho // k, y**k
+        total += s * sum(d for d in range(1, m + 1) if m % d == 0) * yk / (1 - yk)
+    return mu * total / rho
 
 
 def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
@@ -374,7 +357,7 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
     total = Fraction(0)
     for circ in circuits(f, g, max_len=length, cap=cap):
         for orb in circ.orbits:
-            if orb.closed and orb.period is not None:
+            if orb.closed:
                 total += _orbit_series(circ.weight.a, circ.weight.flag,
                                        orb.period, orb.measure)
     return total

@@ -336,6 +336,88 @@ def ref_apply_point(d, x, coords=None):
     return (d.slope * Fraction(x) + d.offset, {j: v for j, v in out.items() if v != 0})
 
 
+# -- the series measurement from its definition -------------------------------
+#
+# Every flagged alternating label cycle up to max_len, once up to rotation
+# and powers included, whose dialect states close up.  A point that walks
+# the cycle again and again until it comes back after p passes adds its
+# cycle's weight^p / p.  Rigid maps move a cell's points together, so a
+# point of each start cell stands for its cell: one whose coordinates sit
+# at distinct offsets inside the cell, so that only the identity fixes it.
+
+
+def ref_series(cells, max_len):
+    """(sum, tail): the measurement summed over label cycles of length at
+    most max_len, and a bound on what the longer ones add.  A walk of m
+    arrows from a point weighs at most norm^m, norm the largest total
+    dilation of the edges of one side whose sources hold one point; so
+    cycles longer than max_len add at most |sources| * norm^(max_len + 1)
+    / (1 - norm).  `cells` is a cell decomposition: its graphings gs, grid
+    n, coordinate count N, source_cells(side, k) and cell_volume()."""
+    sides = cells.gs
+    n, dims = cells.n, cells.N
+    vol = cells.cell_volume()
+
+    def point(cell):
+        blk, cube = cell
+        return (blk + Fraction(1, 2),
+                {c + 1: (j + Fraction(c + 1, dims + 1)) / n for c, j in enumerate(cube)})
+
+    def holds(m, x, coords):
+        return any(b.line.lo <= x < b.line.hi
+                   and all(b.coord(c).lo <= coords.get(c, 0) < b.coord(c).hi
+                           for c in range(1, dims + 1))
+                   for b in m.boxes)
+
+    def cycles(labels, first_in, last_out):
+        # per side: the in-state of its first edge, the out-state of its last
+        if labels and len(labels) % 2 == 0 and last_out == first_in:
+            yield labels
+        if len(labels) < max_len:
+            for side in (1 - labels[-1][0],) if labels else (0, 1):
+                for k, e in enumerate(sides[side].edges):
+                    if last_out[side] in (None, e.in_state):
+                        fi, lo = list(first_in), list(last_out)
+                        if fi[side] is None:
+                            fi[side] = e.in_state
+                        lo[side] = e.out_state
+                        yield from cycles(labels + ((side, k),), tuple(fi), tuple(lo))
+
+    total = Fraction(0)
+    for labels in cycles((), (None, None), (None, None)):
+        edges = [sides[s].edges[j] for s, j in labels]
+        if (labels != min(labels[i:] + labels[:i] for i in range(len(labels)))
+                or not any(h.weight.flag for h in edges)):
+            continue
+        a = Fraction(1)
+        for h in edges:
+            a *= h.weight.a
+        for cell in cells.source_cells(*labels[0]):
+            x, coords = home = point(cell)
+            passes = 0
+            while passes == 0 or (x, coords) != home:
+                for h in edges:
+                    if not holds(h.source, x, coords):
+                        break
+                    x, coords = ref_apply_point(h.mapd, x, coords)
+                else:
+                    passes += 1
+                    continue
+                break
+            else:
+                total += vol * a**passes / passes
+    norm = Fraction(0)
+    sources = set()
+    for side in (0, 1):
+        held = {}
+        for k, e in enumerate(sides[side].edges):
+            for cell in cells.source_cells(side, k):
+                sources.add((side, cell))
+                held[cell] = held.get(cell, 0) + e.weight.a
+        norm = max([norm, *held.values()])
+    return total, len(sources) * vol * norm**(max_len + 1) / (1 - norm)
+
+
 # -- measure of a Boolean combination of boxes ------------------------------
 #
 # Boxes are (line_lo, line_hi, {coord: (lo, hi)}).  Every axis is sliced at

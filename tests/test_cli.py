@@ -1,15 +1,20 @@
 """Command line round trips; everything goes through main()."""
 
+import copy
 import json
+import re
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from gmachines import cli
-from gmachines.automata import parity_automaton, zeros_ones_automaton
+from gmachines.automata import (MultiheadAutomaton, parity_automaton,
+                                zeros_ones_automaton)
 from gmachines.encodings import automaton_to_machine
 from gmachines.graphings import GraphingRep
 
 from conftest import line_edge, seg
+from test_cli_golden import _inputs
 
 
 def run(capsys, *argv):
@@ -136,6 +141,38 @@ def test_fields_of_the_wrong_type_exit_two(capsys, tmp_path, command, doc):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ValueError"), err
+
+
+_parity = parity_automaton().to_json()
+BROKEN_AUTOMATA = {
+    "no-head": (_parity_with(heads=0), "need at least one head"),
+    "no-start": (_parity_with(start="nowhere"), "start state 'nowhere' missing"),
+    "no-accept": (_parity_with(states=["init", "even", "odd", "reject"]),
+                  "halting state 'accept' missing"),
+    "no-reject": (_parity_with(states=["init", "even", "odd", "accept"]),
+                  "halting state 'reject' missing"),
+    "leaves-halting": (_parity_with(transition={"state": "accept"}),
+                       "transition leaves halting state 'accept'"),
+    "read-length": (_parity_with(transition={"read": ["*", "*"]}),
+                    "reads 2 symbols, expected 1"),
+    "bad-symbol": (_parity_with(transition={"read": ["x"]}), "reads bad symbol 'x'"),
+    "head-range": (_parity_with(transition={"head": 2}), "moves head 2 of 1"),
+    "bad-direction": (_parity_with(transition={"dir": "Up"}), "has direction 'Up'"),
+    "duplicate": (_parity_with(transitions=_parity["transitions"]
+                               + _parity["transitions"][:1]),
+                  "duplicate transition"),
+}
+
+
+@pytest.mark.parametrize("doc, problem", BROKEN_AUTOMATA.values(), ids=BROKEN_AUTOMATA)
+def test_automaton_checks_name_the_problem(capsys, tmp_path, doc, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        MultiheadAutomaton.from_json(doc)
+    path = tmp_path / "automaton.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", str(path))
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ValueError: ") and problem in err, err
 
 
 def test_decide_missing_word(capsys):
@@ -468,3 +505,95 @@ def test_deep_recursion_exits_two(capsys, tmp_path):
         code, out, err = run(capsys, cmd, str(deep), str(deep))
         assert (code, out) == (2, "")
         assert err.startswith("error: RecursionError: ")
+
+
+# -- mutated documents --------------------------------------------------------
+#
+# The golden test's documents, and the automata and machine behind its
+# builtin names, with keys deleted, list items dropped and values replaced.
+# Every command that reads them must answer with an exit code: 2 with an
+# error line, 1 only as a verdict, else 0.  Replacements stay small (heads
+# and dialects of at most 3, denominators of at most 4) so that no run
+# compiles a large automaton or lists a fine grid.
+
+FUZZ_CALLS = [
+    (("decide", "{0}", "01"), ("winding.json",)),
+    (("decide", "{0}", "01"), ("parity-machine.json",)),
+    (("extract-automaton", "{0}"), ("parity-machine.json",)),
+    (("essentialize", "{0}"), ("winding.json",)),
+    (("compare", "{0}", "--max-len", "2"), ("parity-automaton.json",)),
+    (("compare", "{0}", "--max-len", "2"), ("zeros-ones-automaton.json",)),
+    (("roundtrip", "{0}", "--max-len", "2"), ("zeros-ones-automaton.json",)),
+    (("correspond", "{0}", "--word", "01", "--max-steps", "6"),
+     ("parity-automaton.json",)),
+    (("encode-automaton", "{0}"), ("zeros-ones-automaton.json",)),
+    (("exec", "{0}", "{1}", "--cut", "@{2}"),
+     ("parity.json", "word0110.json", "interface.json")),
+    (("exec", "{0}", "{1}", "--cut", "@{2}"), ("swaps.json", "back.json", "cut.json")),
+    (("exec", "{0}", "{1}", "--cut", "@{2}"), ("hop_in.json", "hop_out.json", "cut.json")),
+    (("paths", "{0}", "{1}", "--max-len", "4"), ("conveyor.json", "doubler.json")),
+    (("measure", "{0}", "{1}"), ("parity.json", "word0110.json")),
+    (("measure", "{0}", "{1}", "--mode", "series"), ("loop_idle.json", "loop.json")),
+    (("measure", "{0}", "{1}", "--mode", "series"), ("swaps.json", "back.json")),
+]
+VERDICTS = {"decide", "compare", "roundtrip", "correspond"}
+
+_REPLACEMENTS = st.one_of(
+    st.none(), st.just([]), st.integers(-1, 3),
+    st.sampled_from(["", "x", "In", "Out", "*", "0", "1", "init", "reject", "1/0"]),
+    st.builds("{}/{}".format, st.integers(-2, 8), st.integers(1, 4)))
+
+
+def _slots(node):
+    """(container, key) of every value below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in list(items):
+        out.append((node, key))
+        out.extend(_slots(child))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_documents_exit_cleanly(capsys, tmp_path, monkeypatch, conveyor,
+                                        doubler, winding_machine, data):
+    monkeypatch.setenv("GM_MAX_PATH_LEN", "3000")
+    docs = _inputs(conveyor, doubler, winding_machine)
+    docs.update({
+        "cut.json": seg(1, 2).to_json(),
+        "parity-machine.json": automaton_to_machine(parity_automaton()).to_json(),
+        "parity-automaton.json": parity_automaton().to_json(),
+        "zeros-ones-automaton.json": zeros_ones_automaton().to_json(),
+    })
+    argv, names = data.draw(st.sampled_from(FUZZ_CALLS))
+    target = data.draw(st.sampled_from(names))
+    doc = copy.deepcopy(docs[target])
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        how = data.draw(st.sampled_from(["delete", "replace", "wrap"]))
+        if how == "delete":
+            del node[key]
+        else:
+            node[key] = [node[key]] if how == "wrap" else data.draw(_REPLACEMENTS)
+    for name in names:
+        (tmp_path / name).write_text(json.dumps(doc if name == target else docs[name]))
+    argv = [a.format(*(str(tmp_path / n) for n in names)) for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        # argparse refusing the command line is the one exit by exception
+        assert exc.code == 2, argv
+        return
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("error: "), (argv, doc, err)
+    elif code == 1:
+        assert argv[0] in VERDICTS and err == "", (argv, doc, err)
+    else:
+        assert code == 0, (argv, doc, code)

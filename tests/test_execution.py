@@ -13,8 +13,10 @@ from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
 from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
                                  alternating_paths, cell_decompose,
-                                 cell_path_counts, expansion_cap, plug)
-from gmachines.graphings import GraphingRep, Weight, equivalent
+                                 cell_path_counts, expansion_cap, plug,
+                                 plug_projects)
+from gmachines.graphings import (Edge, GraphingRep, Project, SymValue, Weight,
+                                 equivalent)
 from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
@@ -199,6 +201,46 @@ def test_plugging_routes_agree(winding_machine, tape_loop_machine):
             assert not truncated
             exact = _composite(m.graphing, rep, cut, found)
             assert equivalent(exact, plug(m.graphing, rep, cut)), w
+
+
+def test_a_path_only_the_second_side_fires_copies_over_the_first_dialect():
+    # f's edge ends inside the cut, where g has no edge, so the only
+    # completed path is g's edge alone and f stays free on it
+    f = GraphingRep(seg(0, 2), 2, [
+        Edge(seg(0, 1), 0, 1, TransformationDescriptor(offset=1))])
+    g = GraphingRep(seg(1, 4), 1, [line_edge(2, 3, 1, 1)])
+    cut = seg(1, 2)
+    found, truncated = _plug_general(f, g, cut, None, None)
+    assert not truncated
+    (hop,) = g.edges
+    for out in (plug(f, g, cut), _composite(f, g, cut, found)):
+        assert [(e.in_state, e.out_state) for e in out.edges] == [(0, 0), (1, 1)]
+        for e in out.edges:
+            assert equal_ae(e.source, hop.source)
+            assert (e.mapd, e.weight) == (hop.mapd, hop.weight)
+
+
+def test_plug_projects_measures_flagged_cross_terms():
+    hot = Weight(1, 1)
+    hop_in = GraphingRep(seg(0, 2), 1, [
+        Edge(seg(0, 1), 0, 0, TransformationDescriptor(offset=1), hot)])
+    hop_out = GraphingRep(seg(1, 2).union(seg(5, 6)), 1, [line_edge(1, 2, 1, 4)])
+    cut = seg(1, 2)
+    p = Project(SymValue(1), [(2, hop_in)])
+    q = Project(SymValue(0, 1), [(3, hop_out)])
+    out = plug_projects(p, q, cut)
+    # flagged but on no circuit: the wrapper is the mixed wrappers alone
+    assert out.wrapper == SymValue(3, 2)
+    ((coeff, term),) = out.terms
+    assert coeff == 6 and equivalent(term, plug(hop_in, hop_out, cut))
+    loop = GraphingRep(cut, 1, [Edge(cut, 0, 0, TransformationDescriptor(), hot)])
+    with pytest.raises(ValueError, match="cross measurement diverges while plugging"):
+        plug_projects(Project(0, [(1, loop)]), Project(0, [(1, loop)]), cut)
+    # plugging has no series mode to offer for a dilation below 1
+    half = GraphingRep(cut, 1, [
+        Edge(cut, 0, 0, TransformationDescriptor(), Weight(Fraction(1, 2), 1))])
+    with pytest.raises(ValueError, match="plugging measures cross terms exactly"):
+        plug_projects(Project(0, [(1, half)]), Project(0, [(1, loop)]), cut)
 
 
 def test_cell_decompose_requires_rigidity(conveyor, doubler):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gmachines.errors import NotInjective, OverlappingSupports
-from gmachines.graphings import (Edge, GraphingRep, Weight, equivalent,
-                                 refines, rename_dialect, tensor_graphings,
-                                 validate)
+from gmachines.graphings import (Edge, GraphingRep, Project, SymValue, Weight,
+                                 equivalent, refines, rename_dialect, tensor,
+                                 tensor_graphings, validate)
 from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure, union
 
@@ -109,6 +109,17 @@ def test_tensor_with_empty_adds_nothing(seesaw):
 def test_tensor_rejects_overlap(seesaw, seesaw_mirror):
     with pytest.raises(OverlappingSupports):
         tensor_graphings(seesaw, seesaw_mirror)
+
+
+def test_tensor_of_projects(seesaw, seesaw_mirror, far_loop):
+    p = Project(SymValue(2, 1), [(Fraction(1, 2), seesaw), (3, seesaw_mirror)])
+    q = Project(SymValue(5), [(2, far_loop)])
+    t = tensor(p, q)
+    # a * sum(q) + b * sum(p): (2 + zeta) * 2 + 5 * 7/2
+    assert t.wrapper == SymValue(Fraction(43, 2), 2)
+    assert [(c, g.to_json()) for c, g in t.terms] == [
+        (1, tensor_graphings(seesaw, far_loop).to_json()),
+        (6, tensor_graphings(seesaw_mirror, far_loop).to_json())]
 
 
 def test_weight_param_is_dilation_times_flag():

@@ -23,7 +23,8 @@ from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import ref_compose, ref_first_live_rotation, ref_flagged_circuit
+from oracles import (ref_compose, ref_first_live_rotation, ref_flagged_circuit,
+                     ref_series)
 
 
 def _loop(a=1, flag=1, shifts=None, block=(0, 1)):
@@ -83,6 +84,38 @@ def test_series_mode_sums_the_loop():
     assert idle.source.is_empty()
     with_idle = GraphingRep(h.support, 1, h.edges + (idle,))
     assert measure_graphings(with_idle, h, mode="series") == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 6])
+def test_series_matches_the_definition_at_longer_periods(rho):
+    # a shift by 1/rho brings a point back after rho passes of the circuit
+    f = _loop(a=Fraction(1, 2), shifts={1: Fraction(1, rho)})
+    g = _loop(a=Fraction(1, 2), flag=0)
+    ((orb,),) = [c.orbits for c in circuits(f, g, max_len=2)]
+    assert orb.period == rho
+    value = measure_graphings(f, g, mode="series")
+    ref, tail = ref_series(cell_decompose([f, g]), 40)
+    assert abs(value - ref) <= measurement.DEFAULT_TOL + tail, rho
+    if rho == 3:
+        # a = 1/4; by n mod 3: 1/63 + (1/3)(1/63 - 1/262143)
+        assert value == Fraction(16643, 786429)
+
+
+def test_series_matches_the_definition_on_random_pairs():
+    rng = random.Random(4)
+    periods = []
+    for i in range(12):
+        f, g = (GraphingRep(h.support, h.dialect_size, [
+            Edge(e.source, e.in_state, e.out_state, e.mapd,
+                 Weight(Fraction(1, 8), e.weight.flag)) for e in h.edges])
+                for h in random_rigid_pair(rng, flag_rate=0.6))
+        value = measure_graphings(f, g, mode="series")
+        ref, tail = ref_series(cell_decompose([f, g]), 8)
+        assert abs(value - ref) <= measurement.DEFAULT_TOL + tail, i
+        if value:
+            periods += [o.period for c in circuits(f, g, max_len=8)
+                        if c.weight.flag for o in c.orbits if o.closed]
+    assert sorted(set(periods)) == [1, 2, 6], periods
 
 
 def test_series_needing_more_than_4096_raises_before_enumerating():
