@@ -347,18 +347,19 @@ def _run_to_path(tr, root, cg, prov, init_tag: int):
     cell = root
     tag = init_tag
     for step, t in enumerate(tr):
-        hits = [(j, img) for j, img in cg.arrows(0, tag, cell) if prov[j] == t]
+        hits = [j for j, _img in cg.arrows(0, tag, cg.cell_box(cell)) if prov[j] == t]
         if len(hits) != 1:
             return None, f"step {step + 1}: {len(hits)} machine edges chain"
-        j, cell = hits[0]
+        (j,) = hits
         path.append((0, j))
+        cell = cg.image(0, j, cell)
         tag = cg.edge(0, j).out_state
         if step + 1 < len(tr):
-            hops = cg.arrows(1, 0, cell)
+            hops = cg.arrows(1, 0, cg.cell_box(cell))
             if len(hops) != 1:
                 return None, f"step {step + 1}: {len(hops)} word moves at {cell}"
             path.append((1, hops[0][0]))
-            cell = hops[0][1]
+            cell = cg.image(1, hops[0][0], cell)
     return tuple(path), ""
 
 
@@ -411,8 +412,8 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
             seen[path] = tr
             mapped[len(tr)] = mapped.get(len(tr), 0) + 1
         # the machine side fires first, from the root
-        seeds = ((node, cells) for _k, _e, node, cells
-                 in cg.successors((FREE, 0), {root: root}))
+        seeds = ((node, boxes) for _k, _e, node, boxes
+                 in cg.successors((FREE, 0), [cg.cell_box(root)]))
         by_len = walk_counts(cg, seeds, 2 * max_steps - 1)
         paths = {(ln + 1) // 2: c for ln, c in by_len.items() if ln % 2}
         for i in range(1, max_steps + 1):

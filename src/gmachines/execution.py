@@ -21,20 +21,26 @@ The cell engine is one walk on a finite product graph.  A node is
 that side's first edge and its current out-state, both None while the
 side has not fired.  Rigid maps act on cells as a group, so a walk's
 node, map and weight depend only on its labels: the walks sharing them
-move as one group {start cell: cell}.  A walk carries its map as grid
-integers (`CellGraph.compose`) and its weight as dilation and flag; a
-descriptor is built only when a result is read out, once per distinct
-map (`CellGraph.descriptor`).  Every set the walk reads, each
-edge's source and the cut, is read once into boxes of grid indices
-(`CellGraph.grid_boxes`), so whether a cell lies in one is a range test
-(`_covers`) and the cut is never listed cell by cell.  `_chain` fires an
-edge on the pair, and is also the exact engine's dialect bookkeeping.
-`seeds` fires every edge from the free pair; `successors` lets the side
-whose turn it is fire an edge chaining at its out-state, or any edge
-while still free.  Which edges fire at a cell, and where they land, is
-asked of `CellGraph.arrows` alone.  Plugging, `walk_counts`, the circuit
-search and listing of the measurement module, and the run-to-path map of
-the encodings module are searches over this graph.
+move as one group, carried as a list of disjoint grid boxes (a run of
+blocks and one range of grid indices per coordinate) holding the cells
+they are at.  A walk carries its map as grid integers
+(`CellGraph.compose`) and its weight as dilation and flag; the cell a
+walk started from is the inverse map of where it is, so start cells are
+listed, and a descriptor built, only when a result is read out
+(`CellGraph.walks`, `CellGraph.descriptor`).  Every set the walk reads,
+each edge's source and the cut, is read once into grid boxes
+(`CellGraph.grid_boxes`), so a group meets a source or the cut by range
+arithmetic (`_meet`, `_minus`) and nothing is listed cell by cell.
+`_chain` fires an edge on the pair, and is also the exact engine's
+dialect bookkeeping.  `seeds` fires every edge from the free pair on its
+source boxes less the cut; `successors` lets the side whose turn it is
+fire an edge chaining at its out-state, or any edge while still free.
+Which edges fire on a box, and the boxes they send it to, is asked of
+`CellGraph.arrows` alone; the circuit search and the run-to-path map ask
+it of one-cell boxes.  The budget counts cells fired, a box's volume, so
+it does not depend on how the cells are boxed.  Plugging, `walk_counts`,
+the circuit search and listing of the measurement module, and the
+run-to-path map of the encodings module are searches over this graph.
 
 Plugging two graphings along a cut region composes every alternating path
 that starts outside the cut, travels inside it, and exits; the composite
@@ -98,6 +104,9 @@ def expansion_cap(override: int | None = None) -> int:
 
 
 Cell = tuple[int, tuple[int, ...]]
+# a grid box: (block lo, block hi, one (lo, hi) range of grid indices per
+# coordinate), the form of `CellGraph.grid_boxes`
+GridBox = tuple[int, int, tuple[tuple[int, int], ...]]
 # dialect pair before either side fires: (first in-state, out-state) per side
 FREE = ((None, None), (None, None))
 
@@ -135,42 +144,117 @@ def _chain(st, side: int, e: Edge):
     return (now, st[1]) if side == 0 else (st[0], now)
 
 
-def _covers(boxes, cell: Cell) -> bool:
-    """Does one of the grid boxes (block lo, block hi, ranges) hold cell?"""
-    blk, cube = cell
+def cell_count(boxes) -> int:
+    """The number of cells in grid boxes."""
+    total = 0
     for lo, hi, ranges in boxes:
-        if lo <= blk < hi:
-            for (rlo, rhi), x in zip(ranges, cube):
-                if not rlo <= x < rhi:
-                    break
-            else:
-                return True
-    return False
+        v = hi - lo
+        for a, z in ranges:
+            v *= z - a
+        total += v
+    return total
+
+
+def _meet(box: GridBox, other: GridBox) -> GridBox | None:
+    """The grid box two grid boxes share, or None when they are disjoint."""
+    lo, hi, rs = box
+    olo, ohi, ors = other
+    if olo > lo:
+        lo = olo
+    if ohi < hi:
+        hi = ohi
+    if lo >= hi:
+        return None
+    ranges = []
+    for (a, z), (c, d) in zip(rs, ors):
+        if c > a:
+            a = c
+        if d < z:
+            z = d
+        if a >= z:
+            return None
+        ranges.append((a, z))
+    return lo, hi, tuple(ranges)
+
+
+def _minus(boxes: list, others) -> list:
+    """Disjoint grid boxes holding the cells of boxes that no box of
+    others holds.  A box that meets another is cut, along the line and
+    then along each coordinate, into the part they share and at most two
+    parts either side of it on that axis."""
+    for olo, ohi, ors in others:
+        out = []
+        for b in boxes:
+            lo, hi, rs = b
+            # the ranges the two boxes share, coordinate by coordinate
+            mids = [(a if a > c else c, z if z < d else d) for (a, z), (c, d) in zip(rs, ors)]
+            if ohi <= lo or hi <= olo or any(x >= y for x, y in mids):
+                out.append(b)
+                continue
+            if lo < olo:
+                out.append((lo, olo, rs))
+                lo = olo
+            if ohi < hi:
+                out.append((ohi, hi, rs))
+                hi = ohi
+            for i, ((a, z), (x, y)) in enumerate(zip(rs, mids)):
+                if a < x:
+                    out.append((lo, hi, (*mids[:i], (a, x), *rs[i + 1:])))
+                if y < z:
+                    out.append((lo, hi, (*mids[:i], (y, z), *rs[i + 1:])))
+        boxes = out
+    return boxes
+
+
+def _split(boxes: list, cut, full) -> tuple[list, list]:
+    """Grid boxes split at the cut's boxes: (the parts inside, the parts
+    outside).  A box on blocks in full, blocks the cut holds whole, is
+    inside at once."""
+    inside: list = []
+    outside: list = []
+    for b in boxes:
+        if full.issuperset(range(b[0], b[1])):
+            inside.append(b)
+            continue
+        parts = [p for c in cut if (p := _meet(b, c)) is not None]
+        if not parts:
+            outside.append(b)
+            continue
+        inside += parts
+        if parts != [b] and cell_count(parts) < cell_count((b,)):
+            outside += _minus([b], cut)
+    return inside, outside
 
 
 class CellGraph:
     """Finite cell structure of a family of rigid graphings.
 
     A cell is a unit line block crossed with a grid cube; every edge of
-    every graphing maps cells onto cells, so walks move in groups
-    {start cell: cell}, one per label sequence.  Every set the engine
-    reads, an edge's source or a cut, is read once into grid boxes
-    (`grid_boxes`): a run of blocks and one range of grid indices per
-    coordinate, so membership is a range test (`_covers`).  Arrows are
-    computed on demand: the graph only stores, per edge, its source boxes
-    and its map as integers, (block offset, moves), the moves giving per
-    coordinate of the image the coordinate it reads and the grid steps it
-    shifts by.  Walks compose these integer maps (`compose`) and turn one
-    into a descriptor only to read a result out (`descriptor`, once per
-    map); `steps` holds each edge's map with its dilation and flag.
-    `arrows` is the one place that
-    tries edges at a cell: it returns the edges firing there with their
-    images, found by slab lookup.  Per side, block and in-state (and
-    under in-state None for a side that may bind any), coordinate 1 is cut
-    at every endpoint of the sources there, each slab listing the edges
-    covering it (`_slab_table`, built on first use); only the edges on the
-    cell's slab are tried.  Built by `cell_decompose`, which reads the
-    grid and the coordinate bound off the same edges.
+    every graphing maps cells onto cells, so the walks that share a label
+    sequence move as one group, carried as disjoint grid boxes of the
+    cells they are at.  A grid box is a run of blocks and one range of
+    grid indices per coordinate; every set the engine reads, an edge's
+    source or a cut, is read once into grid boxes (`grid_boxes`).  Arrows
+    are computed on demand: the graph only stores, per edge, its source
+    boxes and its map as integers, (block offset, moves), the moves giving
+    per coordinate of the image the coordinate it reads and the grid steps
+    it shifts by.  A rigid map sends a box to at most 2^N boxes: the moves
+    reorder the ranges and a shift splits a range at most once, at the
+    wrap (`images`).  Walks compose these integer maps (`compose`); a
+    group's start cells are the inverse map of its boxes (`walks`), and a
+    map becomes a descriptor only to read a result out (`descriptor`, once
+    per map); `steps` holds each edge's map with its dilation and flag.
+    `arrows` is the one place that tries edges on a box: it returns the
+    edges firing there with the boxes they send it to, found by slab
+    lookup.  Per side, block and in-state (and under in-state None for a
+    side that may bind any), coordinate 1 is cut at every endpoint of the
+    source boxes there, each slab listing the source boxes covering it
+    (`_slab_table`, built on first use); only the source boxes listed on
+    the slabs a box meets are intersected with it.  A firing counts the
+    cells it carries, the volume of its boxes (`cell_count`), so the
+    budget's unit is a cell fired however the cells are boxed.  Built by
+    `cell_decompose`, which reads the grid and the coordinate bound off
+    the same edges.
     """
 
     def __init__(self, gs: Sequence[GraphingRep], grid: int, bound: int):
@@ -185,10 +269,13 @@ class CellGraph:
         self.steps: list[list[tuple]] = []
         # integer map -> its descriptor, built when a walk's result is read
         self._descs: dict[tuple, TransformationDescriptor] = {}
-        # (side, in-state, block) -> (edge, coordinate-1 range) per box;
-        # each key's slab table is built when a lookup first needs it
+        # (side, in-state, block) -> ((edge, source box), coordinate-1
+        # range) per source box on the block; each key's slab table is
+        # built when a lookup first needs it
         self._spans: dict[tuple[int, int | None, int], list] = {}
         self._index: dict[tuple[int, int | None, int], tuple] = {}
+        # the range a box without coordinates is looked up on coordinate 1
+        self._whole = (0, grid)
         fixed = tuple((c, 0) for c in range(bound))
         for side, g in enumerate(self.gs):
             rules = []
@@ -201,15 +288,17 @@ class CellGraph:
                     for c in d.perm.support():
                         moves[d.perm(c) - 1] = (c - 1, 0)
                     for i, lam in d.shifts:
-                        moves[i - 1] = (moves[i - 1][0], int(lam * grid))
+                        # cell_decompose puts every shift on the grid
+                        moves[i - 1] = (moves[i - 1][0], lam.numerator * (grid // lam.denominator))
                     moves = tuple(moves)
                 boxes = self.grid_boxes(e.source, "edge source")
                 imap = (int(d.offset), moves)
                 rules.append((boxes, imap))
                 a = e.weight.a
                 steps.append((imap, 1 if a == 1 else a, e.weight.flag))
-                for lo, hi, ranges in boxes:
-                    span = (k, *(ranges[0] if ranges else (0, grid)))
+                for box in boxes:
+                    lo, hi, ranges = box
+                    span = ((k, box), *(ranges[0] if ranges else self._whole))
                     for blk in range(lo, hi):
                         for state in (e.in_state, None):
                             self._spans.setdefault((side, state, blk), []).append(span)
@@ -218,7 +307,7 @@ class CellGraph:
 
     # -- geometry of cells -------------------------------------------------
 
-    def grid_boxes(self, m: MSet, what: str = "set") -> list[tuple]:
+    def grid_boxes(self, m: MSet, what: str = "set") -> list[GridBox]:
         """A set as boxes of grid indices, (block lo, block hi, one (lo, hi)
         range per coordinate); NotCellRigid when it is off the grid."""
         n = self.n
@@ -232,10 +321,11 @@ class CellGraph:
             for idx, iv in b.coords:
                 if idx > self.N:
                     raise NotCellRigid(f"{what}: coordinate {idx} beyond bound {self.N}")
-                a, z = iv.lo * n, iv.hi * n
-                if a.denominator != 1 or z.denominator != 1:
+                a, z = iv.lo, iv.hi
+                if n % a.denominator or n % z.denominator:
                     raise NotCellRigid(f"{what}: coordinate {idx} off the 1/{n} grid")
-                ranges[idx - 1] = (a.numerator, z.numerator)
+                ranges[idx - 1] = (a.numerator * (n // a.denominator),
+                                   z.numerator * (n // z.denominator))
             out.append((lo.numerator, hi.numerator, tuple(ranges)))
         return out
 
@@ -250,22 +340,69 @@ class CellGraph:
     def cell_volume(self) -> Fraction:
         return Fraction(1, self.n) ** self.N
 
+    @staticmethod
+    def cell_box(cell: Cell) -> GridBox:
+        """The grid box holding one cell."""
+        blk, cube = cell
+        return blk, blk + 1, tuple([(x, x + 1) for x in cube])
+
     # -- arrows ------------------------------------------------------------
 
-    def source_cells(self, side: int, k: int, omit=()) -> Iterable[Cell]:
-        """Cells of an edge's source in order, outside the blocks in omit."""
+    def source_cells(self, side: int, k: int) -> Iterable[Cell]:
+        """Cells of an edge's source in order."""
         for lo, hi, ranges in self._edges[side][k][0]:
             dims = [range(rlo, rhi) for rlo, rhi in ranges]
             for blk in range(lo, hi):
-                if blk not in omit:
-                    for cube in iproduct(*dims):
-                        yield blk, cube
+                for cube in iproduct(*dims):
+                    yield blk, cube
 
     def image(self, side: int, k: int, cell: Cell) -> Cell:
         blk, cube = cell
         _boxes, (offset, moves) = self._edges[side][k]
         n = self.n
         return blk + offset, tuple([(cube[j] + s) % n for j, s in moves])
+
+    def images(self, imap: tuple, box: GridBox) -> list[GridBox]:
+        """The grid boxes an integer map sends a box's cells to: one, or
+        one per side of the wrap of each range that a shift carries
+        across it."""
+        offset, moves = imap
+        lo, hi, ranges = box
+        n = self.n
+        out = []
+        wraps = False
+        for j, s in moves:
+            a, z = ranges[j]
+            if s:
+                a += s
+                z += s
+                if a >= n:
+                    a -= n
+                    z -= n
+                elif z > n:
+                    wraps = True
+            out.append((a, z))
+        if not wraps:
+            return [(lo + offset, hi + offset, tuple(out))]
+        axes = [((a, n), (0, z - n)) if z > n else ((a, z),) for a, z in out]
+        return [(lo + offset, hi + offset, rs) for rs in iproduct(*axes)]
+
+    def walks(self, imap: tuple, boxes) -> dict[Cell, Cell]:
+        """{start cell: cell} over the cells of boxes reached by walks that
+        took the integer map imap."""
+        offset, moves = imap
+        if not moves:
+            return {(blk - offset, ()): (blk, ()) for lo, hi, _r in boxes for blk in range(lo, hi)}
+        n = self.n
+        # start coordinate j is image coordinate i less its shift s
+        back = sorted((j, i, s) for i, (j, s) in enumerate(moves))
+        out = {}
+        for lo, hi, ranges in boxes:
+            for cube in iproduct(*[range(a, z) for a, z in ranges]):
+                start = tuple([(cube[i] - s) % n for _j, i, s in back])
+                for blk in range(lo, hi):
+                    out[blk - offset, start] = (blk, cube)
+        return out
 
     def compose(self, a: tuple, b: tuple) -> tuple:
         """Integer map a after b."""
@@ -284,58 +421,81 @@ class CellGraph:
                 tuple((i + 1, Fraction(s, self.n)) for i, (_j, s) in enumerate(moves) if s))
         return self._descs[imap]
 
-    def arrows(self, side: int, state: int | None, cell: Cell) -> list[tuple[int, Cell]]:
-        """The arrows leaving a cell on one side from a dialect state, as
-        (edge, image) in edge order; state None admits every in-state.
-        Only the edges listed on the cell's coordinate-1 slab of its key
-        are tried."""
-        blk, cube = cell
-        key = (side, state, blk)
-        table = self._index.get(key)
-        if table is None:
-            if key not in self._spans:
-                return []
-            table = self._index[key] = _slab_table(self._spans[key])
+    def arrows(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, list]]:
+        """The edges of one side firing on a box from a dialect state, as
+        (edge, the boxes its part of the box goes to) in edge order; state
+        None admits every in-state.  Only the source boxes listed on the
+        coordinate-1 slabs of its keys that the box meets are intersected
+        with it."""
+        lo, hi, ranges = box
+        a, z = ranges[0] if ranges else self._whole
+        slabs: list = []
+        for blk in range(lo, hi):
+            key = (side, state, blk)
+            table = self._index.get(key)
+            if table is None:
+                if key not in self._spans:
+                    continue
+                table = self._index[key] = _slab_table(self._spans[key])
+            # without coordinates a block's table has one slab
+            slabs += _slabs_meeting(table, a, z) if ranges else table[1]
+        # a source box listed on several slabs is tried once
+        listed = slabs[0] if len(slabs) == 1 else sorted({p for ps in slabs for p in ps})
         rules = self._edges[side]
-        if not cube:
-            # bound 0: the one slab is the whole block, which each listed edge covers
-            return [(k, (blk + rules[k][1][0], ())) for k in table[1][0]]
-        n = self.n
-        out = []
-        for ks in _slabs_meeting(table, cube[0], cube[0] + 1):
-            for k in ks:
-                boxes, (offset, moves) = rules[k]
-                if _covers(boxes, cell):
-                    img = tuple([(cube[j] + s) % n for j, s in moves])
-                    out.append((k, (blk + offset, img)))
+        if hi - lo == 1 and (not ranges or len(ranges) == 1 and ranges[0][1] - ranges[0][0] == 1):
+            # one cell, and no coordinate past the first: each source box
+            # listed on the cell's slab holds it
+            return [(k, self.images(rules[k][1], box)) for k, _src in listed]
+        out: list = []
+        for k, src in listed:
+            piece = _meet(box, src)
+            if piece is not None:
+                imgs = self.images(rules[k][1], piece)
+                if out and out[-1][0] == k:
+                    out[-1][1].extend(imgs)
+                else:
+                    out.append((k, imgs))
         return out
 
-    def seeds(self, cut=()):
-        """Every edge fired from the free pair, as (side, k, node, cells):
-        cells maps each source cell outside the cut, given as grid boxes,
-        to its image.  Blocks that a cut box holds whole are passed over
-        without listing their cells."""
+    def whole_blocks(self, boxes) -> set[int]:
+        """The blocks that one of the grid boxes holds whole."""
         whole = ((0, self.n),) * self.N
-        full = {blk for lo, hi, ranges in cut if ranges == whole for blk in range(lo, hi)}
+        return {blk for lo, hi, ranges in boxes if ranges == whole for blk in range(lo, hi)}
+
+    def seeds(self, cut=()):
+        """Every edge fired from the free pair on its source boxes less
+        the cut, given as grid boxes: (side, k, node, boxes reached).
+        Source boxes on blocks that the cut holds whole are passed over
+        at once."""
+        full = self.whole_blocks(cut)
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
-                cells = {cell: self.image(side, k, cell)
-                         for cell in self.source_cells(side, k, full)
-                         if not _covers(cut, cell)}
-                if cells:
-                    yield side, k, (_chain(FREE, side, e), 1 - side), cells
+                boxes, imap = self._edges[side][k]
+                boxes = _minus([b for b in boxes if not full.issuperset(range(b[0], b[1]))], cut)
+                if boxes:
+                    yield side, k, (_chain(FREE, side, e), 1 - side), \
+                        [img for b in boxes for img in self.images(imap, b)]
 
-    def successors(self, node, cells: dict):
-        """Edges firing from a node on walks {start: cell}, in order, as
-        (k, edge, next node, {start: image}) over the walks they apply to."""
+    def successors(self, node, boxes: list):
+        """Edges firing from a node on a group's disjoint boxes, in order,
+        as (k, edge, next node, the boxes the walks they fire on reach)."""
         st, turn = node
-        moved: dict[int, dict] = {}
-        for start, cell in cells.items():
-            for k, img in self.arrows(turn, st[turn][1], cell):
-                moved.setdefault(k, {})[start] = img
-        for k in sorted(moved):
-            e = self.gs[turn].edges[k]
-            yield k, e, (_chain(st, turn, e), 1 - turn), moved[k]
+        state = st[turn][1]
+        if len(boxes) == 1:
+            fired = self.arrows(turn, state, boxes[0])
+        else:
+            moved: dict[int, list] = {}
+            for box in boxes:
+                for k, imgs in self.arrows(turn, state, box):
+                    if k in moved:
+                        moved[k] += imgs
+                    else:
+                        moved[k] = imgs
+            fired = sorted(moved.items())
+        edges = self.gs[turn].edges
+        for k, imgs in fired:
+            e = edges[k]
+            yield k, e, (_chain(st, turn, e), 1 - turn), imgs
 
     def edge(self, side: int, k: int) -> Edge:
         return self.gs[side].edges[k]
@@ -504,54 +664,61 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
 def _plug_cells(cg: CellGraph, cut, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
     the cut; a walk becomes a composite edge where it leaves the cut.  A
-    walk carries its map as integers and its weight as dilation and flag;
-    each distinct map becomes a descriptor only when results are read."""
+    group carries its cells as grid boxes, its map as integers and its
+    weight as dilation and flag.  Boxes are deduplicated per (node, map,
+    weight) against the boxes already reached there, and split at the cut;
+    exit boxes become start cells, and each distinct map a descriptor,
+    only when results are read."""
     boxes = cg.grid_boxes(cut, "cut")
-    # keys (start cell, dialect pair, map, dilation, flag)
+    full = cg.whole_blocks(boxes)
+    # (dialect pair, map, dilation, flag) -> boxes where walks leave the cut
     results: dict = {}
     budget = expansion_cap(cap)
     fires = 0
     truncated = False
     queue: deque = deque()
-    # (node, map, dilation, flag) -> start cells; the map fixes each one's cell
+    # (node, map, dilation, flag) -> the disjoint boxes reached there
     seen: dict = {}
 
-    def reach(node, imap, a, flag, cells, length):
+    def reach(node, imap, a, flag, reached, length):
         nonlocal fires
-        fires += len(cells)
+        fires += cell_count(reached)
         if fires > budget:
             raise NonTerminating(
                 f"plug exceeded the budget of {budget} cell-arrow expansions")
-        known = seen.setdefault((node, imap, a, flag), set())
-        inside = {}
-        for start, cell in cells.items():
-            if start in known:
-                continue
-            known.add(start)
-            if _covers(boxes, cell):
-                inside[start] = cell
-            else:
-                results[start, node[0], imap, a, flag] = None
+        key = (node, imap, a, flag)
+        known = seen.get(key)
+        if known is None:
+            seen[key] = list(reached)
+        else:
+            reached = _minus(reached, known)
+            known += reached
+        inside, outside = _split(reached, boxes, full)
+        if outside:
+            results.setdefault((node[0], imap, a, flag), []).extend(outside)
         if inside:
             queue.append((node, imap, a, flag, inside, length))
 
-    for side, k, node, cells in cg.seeds(boxes):
+    for side, k, node, reached in cg.seeds(boxes):
         if max_len == 0:
             # a seed is an arrow that would make a path of length 1
             return [], True
-        reach(node, *cg.steps[side][k], cells, 1)
+        reach(node, *cg.steps[side][k], reached, 1)
     while queue:
-        node, imap, a, flag, cells, length = queue.popleft()
+        node, imap, a, flag, reached, length = queue.popleft()
         if max_len is not None and length >= max_len:
             truncated = True
             continue
         fire = cg.steps[node[1]]
-        for k, _e, nxt, moved in cg.successors(node, cells):
+        for k, _e, nxt, moved in cg.successors(node, reached):
             emap, dil, eflag = fire[k]
             reach(nxt, cg.compose(emap, imap), a if dil == 1 else a * dil,
                   flag | eflag, moved, length + 1)
+    found = {(start, st, imap, a, flag): None
+             for (st, imap, a, flag), exits in results.items()
+             for start in cg.walks(imap, exits)}
     return [(cg.cell_mset(start), st, cg.descriptor(imap), Weight(a, flag))
-            for start, st, imap, a, flag in results], truncated
+            for start, st, imap, a, flag in found], truncated
 
 
 def _plug_general(f, g, cut, cap, max_len):
@@ -633,16 +800,16 @@ def plug_projects(p: Project, q: Project, cut: MSet, cap: int | None = None) -> 
 
 def walk_counts(cg: CellGraph, seeds: Iterable, max_len: int) -> dict[int, int]:
     """Number of product walks per length up to max_len, from seed groups
-    (node, {start: cell}) of length-one walks."""
+    (node, grid boxes) of length-one walks: the cells the groups hold."""
     frontier = list(seeds)
     counts: dict[int, int] = {}
     for length in range(1, max_len + 1):
         if not frontier:
             break
-        counts[length] = sum(len(cells) for _node, cells in frontier)
+        counts[length] = sum(cell_count(boxes) for _node, boxes in frontier)
         if length < max_len:
-            frontier = [(nxt, moved) for node, cells in frontier
-                        for _k, _e, nxt, moved in cg.successors(node, cells)]
+            frontier = [(nxt, moved) for node, boxes in frontier
+                        for _k, _e, nxt, moved in cg.successors(node, boxes)]
     return counts
 
 
@@ -650,4 +817,4 @@ def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int) -> dict[int, 
     """Number of cell-level alternating walks per length; the cell shadow
     of alternating_paths for rigid inputs."""
     cg = cell_decompose([f, g])
-    return walk_counts(cg, ((node, cells) for *_, node, cells in cg.seeds()), max_len)
+    return walk_counts(cg, ((node, boxes) for *_, node, boxes in cg.seeds()), max_len)

@@ -13,8 +13,9 @@ mu * sum_{n >= 1} gcd(n, rho)/rho * a^lcm(n, rho) over the circuit's
 powers, one sum over the squarefree divisors of rho in closed form.  A
 geometric bound on the tail, which does not depend on the circuits,
 fixes the length once; one DFS over label sequences, each carrying its
-composed map (as grid integers), weight and start cells, lists the
-circuits, whose orbits come from the walks of their first live rotation.
+composed map (as grid integers), weight and the grid boxes its walks are
+at, lists the circuits, whose orbits come from the walks of their first
+live rotation.  The exact search still runs cell by cell.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IterationCapExceeded, SupportMismatch
-from .execution import Cell, cell_decompose, expansion_cap
+from .execution import Cell, cell_count, cell_decompose, expansion_cap
 from .graphings import Edge, GraphingRep, Project, SymValue, Weight
 from .microcosm import TransformationDescriptor
 from .space import equal_ae
@@ -90,17 +91,18 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     live = (_live_states(f), _live_states(g))
     arcs = 0
 
-    # a node is (cell, side to fire, that side's state, the idle side's state)
+    # a node is (cell, side to fire, that side's state, the idle side's
+    # state); arrows are asked of the cell's one-cell box
     def successors(node):
         nonlocal arcs
         cell, turn, state, idle = node
         if idle in live[1 - turn]:
-            for k, img in cg.arrows(turn, state, cell):
+            for k, _img in cg.arrows(turn, state, cg.cell_box(cell)):
                 arcs += 1
                 if arcs > budget:
                     raise IterationCapExceeded(
                         f"circuit search grew past {budget} arrows")
-                yield img, 1 - turn, idle, cg.edge(turn, k).out_state
+                yield cg.image(turn, k, cell), 1 - turn, idle, cg.edge(turn, k).out_state
 
     flagged = [((cell, side, e.in_state, idle),
                 (cg.image(side, k, cell), 1 - side, idle, e.out_state))
@@ -236,23 +238,25 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     comes as the first rotation, from its least one on, that some cell
     walks, with that rotation's orbits.  One DFS over label sequences
     reads it all off: each carries its composed map as grid integers, its
-    dilation and flag, and its walks {start cell: cell}, and the walks of
-    the first live rotation are its start map.  The map becomes a
-    descriptor, and the weight a Weight, only for the circuits returned.
+    dilation and flag, and the grid boxes its walks are at; the budget
+    counts the cells they hold.  The walks of the first live rotation are
+    its start map, read off its boxes through the inverse map
+    (`CellGraph.walks`).  The map becomes a descriptor, and the weight a
+    Weight, only for the circuits returned.
     """
     cg = cell_decompose([f, g])
     budget = expansion_cap(cap)
-    # least canon -> (offset, integer map, dilation, flag, {start cell: end
-    # cell}) of its first rotation that some cell walks
+    # least canon -> (offset, integer map, dilation, flag, boxes reached)
+    # of its first rotation that some cell walks
     found: dict[tuple, tuple] = {}
     steps = 0
     # depth-first over label sequences, each carrying its composed integer
-    # map, dilation, flag and walks {start cell: cell}
-    stack = [(((side, k),), node, *cg.steps[side][k], cells)
-             for side, k, node, cells in cg.seeds()]
+    # map, dilation, flag and the grid boxes its walks are at
+    stack = [(((side, k),), node, *cg.steps[side][k], boxes)
+             for side, k, node, boxes in cg.seeds()]
     while stack:
-        labels, node, imap, a, flag, cells = stack.pop()
-        steps += len(cells)
+        labels, node, imap, a, flag, boxes = stack.pop()
+        steps += cell_count(boxes)
         if steps > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
@@ -261,11 +265,11 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
                 and ff is not None and fg is not None):
             canon, offset = _canonical_rotation(labels)
             if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
-                found[canon] = (offset, imap, a, flag, cells)
+                found[canon] = (offset, imap, a, flag, boxes)
         if len(labels) >= max_len:
             continue
         fire = cg.steps[turn]
-        for k, _e, nxt, moved in cg.successors(node, cells):
+        for k, _e, nxt, moved in cg.successors(node, boxes):
             emap, dil, eflag = fire[k]
             stack.append((labels + ((turn, k),), nxt, cg.compose(emap, imap),
                           a if dil == 1 else a * dil, flag | eflag, moved))
@@ -274,12 +278,12 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     # circuits share few weights: each is built once
     weights: dict[tuple, Weight] = {}
     for canon in sorted(found):
-        i, imap, a, flag, starts = found[canon]
+        i, imap, a, flag, boxes = found[canon]
         if (a, flag) not in weights:
             weights[a, flag] = Weight(a, flag)
         composed = cg.descriptor(imap)
         out.append(Circuit(canon[i:] + canon[:i], weights[a, flag], composed,
-                           _orbits(starts, composed, vol)))
+                           _orbits(cg.walks(imap, boxes), composed, vol)))
     return out
 
 

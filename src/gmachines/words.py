@@ -183,14 +183,19 @@ def promote(g: GraphingRep) -> GraphingRep:
     # maps are told apart by identity, as g holds them for the whole call
     shifts: dict[int, TransformationDescriptor] = {}
     moves: dict[tuple, TransformationDescriptor] = {}
+    # state -> its column
+    cols: dict[int, Interval] = {}
     for k, e in enumerate(g.edges):
         if e.mapd.perm(1) != 1 or e.mapd.shift(1) != 0:
             raise PairingRequired(f"edge {k} already acts on coordinate 1")
         boxes = []
-        col = Interval(Fraction(e.in_state, n), Fraction(e.in_state + 1, n))
+        col = cols.get(e.in_state)
+        if col is None:
+            col = cols[e.in_state] = Interval(Fraction(e.in_state, n),
+                                              Fraction(e.in_state + 1, n))
         for b in e.source.boxes:
             coords = dict(b.coords)
-            coords[1] = b.coord(1).intersect(col)
+            coords[1] = col if 1 not in coords else coords[1].intersect(col)
             boxes.append(Box(b.line, coords))
         step = e.out_state - e.in_state
         if step not in shifts:

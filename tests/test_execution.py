@@ -12,7 +12,7 @@ from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
 from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
-                                 alternating_paths, cell_decompose,
+                                 alternating_paths, cell_count, cell_decompose,
                                  cell_path_counts, expansion_cap, plug,
                                  plug_projects)
 from gmachines.graphings import (Edge, GraphingRep, Project, SymValue, Weight,
@@ -21,9 +21,15 @@ from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
-from conftest import line_edge, random_rigid_pair, seg
+from conftest import line_edge, odometer, random_rigid_pair, seg
 from oracles import (brute_paths, brute_plug, ref_arrows, ref_cells,
                      ref_edges_from, ref_source_lists)
+
+
+def _cells(boxes):
+    """The cells of grid boxes, sorted."""
+    return sorted((blk, cube) for lo, hi, ranges in boxes for blk in range(lo, hi)
+                  for cube in product(*[range(a, z) for a, z in ranges]))
 
 
 def _pair_raw(conveyor, doubler):
@@ -187,6 +193,26 @@ def test_exact_budget_counts_fired_arrows(conveyor, doubler):
                                  allow_truncation=True).to_json()
 
 
+def _census(h, cg) -> Counter:
+    """Every composite edge of h cell by cell: (in-state, out-state, map,
+    weight, source cell), the cells read off its source by ref_cells."""
+    return Counter((e.in_state, e.out_state, e.mapd.key(), e.weight.a, e.weight.flag, cell)
+                   for e in h.edges for cell in ref_cells(e.source, cg.n, cg.N))
+
+
+def _routes_agree(f, g, cut, max_len=None):
+    """The cell route's plug against the exact route's, as graphings and
+    cell by cell; returns the cell route's and its cell decomposition."""
+    found, truncated = _plug_general(f, g, cut, None, max_len)
+    assert max_len is not None or not truncated
+    exact = _composite(f, g, cut, found)
+    cells = plug(f, g, cut, max_len=max_len, allow_truncation=max_len is not None)
+    cg = cell_decompose([f, g], [cut])
+    assert equivalent(exact, cells)
+    assert _census(cells, cg) == _census(exact, cg)
+    return cells, cg
+
+
 def test_plugging_routes_agree(winding_machine, tape_loop_machine):
     cut = DEFAULT_PSI.interface_mset()
     small = ["", "1", "01", "110"]
@@ -194,13 +220,92 @@ def test_plugging_routes_agree(winding_machine, tape_loop_machine):
                       ["", "0", "1", "0110", "10101"]),
                      (automaton_to_machine(zeros_ones_automaton()),
                       ["", "01", "0011", "0101", "10", "000111", "00001111"]),
+                     (automaton_to_machine(odometer(2)), ["", "1", "01", "0110"]),
                      (winding_machine, small), (tape_loop_machine, small)):
         for w in words:
-            rep = representation(w)
-            found, truncated = _plug_general(m.graphing, rep, cut, None, None)
-            assert not truncated
-            exact = _composite(m.graphing, rep, cut, found)
-            assert equivalent(exact, plug(m.graphing, rep, cut)), w
+            _routes_agree(m.graphing, representation(w), cut)
+    # wide sources over one or two blocks; f lives on blocks 0-3 and g on
+    # the cut, blocks 1-2, where walks may cycle, so both routes stop at
+    # the same length
+    rng = random.Random(71)
+    for i in range(20):
+        f = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(0, 1, 2, 3), wide=True)[0]
+        g = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(1, 2), wide=True)[1]
+        _routes_agree(f, g, seg(1, 3), max_len=6)
+
+
+# One case per step that a carried box takes, on a grid of 4 with one
+# coordinate: the box enters the cut, block 1, from f's edges on block 0,
+# and g's edges take it out.  Each is checked against the exact route and
+# cell by cell against the composite edges it must give.
+
+def _quarter(lo, hi):
+    return {"1": (Fraction(lo, 4), Fraction(hi, 4))}
+
+
+def _hop(source, offset, shift=0):
+    return Edge(source, 0, 0, TransformationDescriptor(
+        offset=Fraction(offset), shifts={1: Fraction(shift)} if shift else {}))
+
+
+def _exits(h):
+    """{(block offset, shift of coordinate 1): sorted start indices on
+    coordinate 1} over the composite edges of h, each one cell of block 0."""
+    out = {}
+    for e in h.edges:
+        ((blk, (x,)),) = ref_cells(e.source, 4, 1)
+        assert blk == 0
+        out.setdefault((e.mapd.offset, e.mapd.shift(1)), []).append(x)
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def test_carried_box_splits_at_the_wrap_of_a_shift():
+    # f shifts indices 1-3 by 2 into the cut: 3 stays, 4 and 5 wrap to 0, 1
+    f = GraphingRep(seg(0, 2), 1, [_hop(seg(0, 1, **_quarter(1, 4)), 1, Fraction(1, 2))])
+    g = GraphingRep(seg(1, 4), 1, [_hop(seg(1, 2, **_quarter(0, 2)), 1),
+                                   _hop(seg(1, 2, **_quarter(2, 4)), 2)])
+    cells, cg = _routes_agree(f, g, seg(1, 2))
+    assert cg.images(cg.steps[0][0][0], cg.grid_boxes(f.edges[0].source)[0]) == \
+        [(1, 2, ((3, 4),)), (1, 2, ((0, 2),))]
+    half = Fraction(1, 2)
+    assert _exits(cells) == {(2, half): [2, 3], (3, half): [1]}
+
+
+def test_partly_reached_box_goes_on_with_its_new_cells_only():
+    # f's two edges share a map and reach one node with indices 0-2 and
+    # 1-3: the second goes on with index 3 only.  Index 1 leaves by g's
+    # first edge on both walks, index 3 by its second on the second walk
+    f = GraphingRep(seg(0, 2), 1, [_hop(seg(0, 1, **_quarter(0, 3)), 1),
+                                   _hop(seg(0, 1, **_quarter(1, 4)), 1)])
+    g = GraphingRep(seg(1, 4), 1, [_hop(seg(1, 2, **_quarter(1, 2)), 2),
+                                   _hop(seg(1, 2, **_quarter(3, 4)), 1)])
+    cells, _cg = _routes_agree(f, g, seg(1, 2))
+    assert _exits(cells) == {(3, 0): [1], (2, 0): [3]}
+    # the seeds fire 3 + 3 cells, then g's edges 1 + 1: going on with the
+    # whole second box would fire index 1 again
+    cut = seg(1, 2)
+    assert plug(f, g, cut, cap=8).to_json() == cells.to_json()
+    with pytest.raises(NonTerminating):
+        plug(f, g, cut, cap=7)
+
+
+def test_box_meeting_two_source_boxes_of_an_edge_fires_on_both():
+    g = GraphingRep(seg(1, 3), 1, [
+        _hop(seg(1, 2, **_quarter(0, 1)).union(seg(1, 2, **_quarter(2, 3))), 1)])
+    assert len(g.edges[0].source.boxes) == 2
+    f = GraphingRep(seg(0, 2), 1, [_hop(seg(0, 1), 1)])
+    cells, _cg = _routes_agree(f, g, seg(1, 2))
+    assert _exits(cells) == {(2, 0): [0, 2]}
+
+
+def test_box_partly_inside_the_cut_leaves_with_the_rest():
+    # f's image covers block 1; the cut holds its first quarter, where
+    # g's edge takes it on
+    cut = seg(1, 2, **_quarter(0, 1))
+    f = GraphingRep(seg(0, 2), 1, [_hop(seg(0, 1), 1)])
+    g = GraphingRep(cut.union(seg(2, 3)), 1, [_hop(cut, 1)])
+    cells, _cg = _routes_agree(f, g, cut)
+    assert _exits(cells) == {(1, 0): [1, 2, 3], (2, 0): [0]}
 
 
 def test_a_path_only_the_second_side_fires_copies_over_the_first_dialect():
@@ -257,7 +362,7 @@ def test_cell_decompose_word_graphing():
         assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
             img = cg.image(0, j, c)
-            assert (j, img) in cg.arrows(0, None, c)
+            assert (j, [cg.cell_box(img)]) in cg.arrows(0, None, cg.cell_box(c))
             assert img != c or e.mapd.is_identity()
 
 
@@ -267,37 +372,40 @@ def test_any_state_index_and_successors_chain():
         f, g = random_rigid_pair(rng, dialect=3)
         cg = cell_decompose([f, g])
         cells = sorted({cell for _side, _k, cell, _dst in ref_arrows(cg)})
-        # a group of walks, keyed apart from their cells
-        group = dict(enumerate(cells))
+        # a group of walks, one one-cell box per cell
+        group = [cg.cell_box(cell) for cell in cells]
         idle = (1, 2)
         for side, h in enumerate((f, g)):
             sources = [set(cg.source_cells(side, k)) for k in range(len(h.edges))]
             for cell in cells:
+                box = cg.cell_box(cell)
                 live = [k for k, src in enumerate(sources) if cell in src]
-                assert [k for k, _img in cg.arrows(side, None, cell)] == live
-                free = [(k, e) for k, e, _, _ in cg.successors((FREE, side), {cell: cell})]
+                assert [k for k, _img in cg.arrows(side, None, box)] == live
+                free = [(k, e) for k, e, _, _ in cg.successors((FREE, side), [box])]
                 assert free == [(k, h.edges[k]) for k in live]
                 for state in range(h.dialect_size):
                     now = ((state + 1) % h.dialect_size, state)
                     st = (now, idle) if side == 0 else (idle, now)
-                    arrows = list(cg.successors((st, side), {cell: cell}))
+                    arrows = list(cg.successors((st, side), [box]))
                     assert [k for k, *_ in arrows] == \
                         [k for k in live if h.edges[k].in_state == state]
                     for k, e, (nst, turn), moved in arrows:
                         assert e is h.edges[k] and e.in_state == state
-                        assert moved == {cell: cg.image(side, k, cell)} and turn == 1 - side
+                        assert moved == [cg.cell_box(cg.image(side, k, cell))]
+                        assert turn == 1 - side
                         assert nst[side] == (now[0], e.out_state)
                         assert nst[1 - side] == idle
             # a group fires each edge once, on exactly the walks it applies to
             for state in (None, *range(h.dialect_size)):
                 st = ((state, state), idle) if side == 0 else (idle, (state, state))
-                got = {k: moved for k, _e, _nxt, moved in cg.successors((st, side), group)}
+                got = {k: _cells(moved) for k, _e, _nxt, moved in cg.successors((st, side), group)}
                 want = {}
-                for i, cell in group.items():
+                for cell in cells:
                     for k, src in enumerate(sources):
                         if cell in src and state in (None, h.edges[k].in_state):
-                            want.setdefault(k, {})[i] = cg.image(side, k, cell)
-                assert got == want and list(got) == sorted(want)
+                            want.setdefault(k, []).append(cg.image(side, k, cell))
+                assert got == {k: sorted(v) for k, v in want.items()}
+                assert list(got) == sorted(want)
 
 
 def _series_shaped_pairs(rng):
@@ -331,10 +439,11 @@ def _assert_arrows_match_sources(cg):
             for blk in range(min(blocks) - 1, max(blocks) + 2):
                 for cube in cubes:
                     cell = (blk, cube)
-                    got = cg.arrows(side, state, cell)
+                    got = cg.arrows(side, state, cg.cell_box(cell))
                     assert [k for k, _img in got] == \
                         ref_edges_from(cg, side, state, cell, lists), (side, state, cell)
-                    for k, img in got:
+                    for k, imgs in got:
+                        (img,) = _cells(imgs)
                         key = (h.edges[k].mapd, cell, img)
                         if key not in checked:
                             assert cg.cell_mset(img) == \
@@ -369,13 +478,14 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 def test_cell_walk_tries_at_most_two_edges_per_arrow(monkeypatch, capsys):
     # the word puts one edge per tape position on a block: a scan of the
-    # block's edges would try about one per position for each arrow
+    # block's edges would try about one per position for each arrow; a
+    # try intersects a box with a source box
     counts = Counter()
-    covers, arrows = execution._covers, CellGraph.arrows
+    meet, arrows = execution._meet, CellGraph.arrows
 
-    def counted_covers(*args):
+    def counted_meet(*args):
         counts["tries"] += counts["inside"]
-        return covers(*args)
+        return meet(*args)
 
     def counted_arrows(*args):
         counts["inside"] = 1
@@ -385,7 +495,7 @@ def test_cell_walk_tries_at_most_two_edges_per_arrow(monkeypatch, capsys):
             counts["inside"] = 0
         counts["arrows"] += len(out)
         return out
-    monkeypatch.setattr(execution, "_covers", counted_covers)
+    monkeypatch.setattr(execution, "_meet", counted_meet)
     monkeypatch.setattr(CellGraph, "arrows", counted_arrows)
     assert cli.main(["decide", "parity", "0110" * 64]) == 0
     assert capsys.readouterr().out == "pass\n"
@@ -443,12 +553,14 @@ def test_seeds_skip_whole_and_partial_blocks():
         for cut in (MSet([]), whole, partial, whole.union(partial), *drawn):
             skip = ref_cells(cut, cg.n, cg.N)
             got = list(cg.seeds(cg.grid_boxes(cut)))
-            assert [(side, k, cell, dst) for side, k, _node, group in got
-                    for cell, dst in group.items()] == \
-                [a for a in arrows if a[2] not in skip]
+            # each seed's boxes are disjoint and hold the images of its
+            # source cells outside the cut
+            assert [(side, k, *walk) for side, k, _node, boxes in got
+                    for walk in sorted(cg.walks(cg.steps[side][k][0], boxes).items())] == \
+                sorted(a for a in arrows if a[2] not in skip)
             for side, k, (st, turn), group in got:
                 e = (f, g)[side].edges[k]
-                assert group
+                assert group and cell_count(group) == len(_cells(group))
                 assert st[side] == (e.in_state, e.out_state)
                 assert st[1 - side] == (None, None) and turn == 1 - side
 
@@ -517,10 +629,37 @@ def test_cell_plug_builds_descriptors_only_at_read_out(monkeypatch):
     assert 0 < counts["_normal"] <= len({e.mapd for e in out.edges})
 
 
+def test_box_walk_work_grows_with_the_word_not_its_cells(monkeypatch):
+    # a zeros-ones plug walks n^2 cells on 2n letters, yet one box per
+    # label sequence: doubling the word about doubles the boxes fired
+    m = automaton_to_machine(zeros_ones_automaton())
+    counts = Counter()
+    arrows = CellGraph.arrows
+
+    def counted(*args):
+        out = arrows(*args)
+        counts["boxes"] += sum(len(imgs) for _k, imgs in out)
+        counts["cells"] += sum(cell_count(imgs) for _k, imgs in out)
+        return out
+    monkeypatch.setattr(CellGraph, "arrows", counted)
+    work = {}
+    for n in (32, 64):
+        counts.clear()
+        rep = representation("0" * n + "1" * n)
+        assert plug(m.graphing, rep, DEFAULT_PSI.interface_mset(), cap=10 ** 12).edges
+        work[n] = (counts["boxes"], counts["cells"])
+    assert work[64][0] <= 2.2 * work[32][0]
+    assert work[64][1] >= 3.5 * work[32][1]
+
+
 def test_cell_counts_refine_path_census():
     rng = random.Random(11)
-    for _ in range(10):
-        f, g = random_rigid_pair(rng)
+    odo = automaton_to_machine(odometer(2)).graphing
+    pairs = [random_rigid_pair(rng) for _ in range(10)]
+    pairs += [random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(0, 1, 2, 3), wide=True)
+              for i in range(10)]
+    pairs += [(odo, representation(w)) for w in ("", "01", "110")]
+    for f, g in pairs:
         paths = alternating_paths(f, g, max_len=5)
         cg = cell_decompose([f, g])
         want = Counter()
