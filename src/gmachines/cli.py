@@ -14,7 +14,7 @@ import sys
 
 from . import automata, encodings, machines, measurement
 from .errors import GMError
-from .execution import ENV_CAP, alternating_paths, plug
+from .execution import alternating_paths, plug
 from .graphings import GraphingRep
 from .machines import Machine
 from .space import MSet, rat, rat_str
@@ -96,7 +96,7 @@ def cmd_decide(args) -> int:
         print("error: decide needs a machine and a word", file=sys.stderr)
         return 2
     m = _load_machine(machine, PSIS[args.psi])
-    verdict = machines.accepts(m, word, cap=args.cap)
+    verdict = machines.accepts(m, word)
     if args.json:
         _emit({"word": word, "verdict": "pass" if verdict else "fail"})
     else:
@@ -120,7 +120,7 @@ def cmd_compare(args) -> int:
     a = _load_automaton(args.automaton)
     m = encodings.automaton_to_machine(a, PSIS[args.psi])
 
-    rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w, cap=args.cap))
+    rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w))
             for w in _words_upto(args.max_len)]
     bad = 0
     print("word automaton machine agree")
@@ -162,7 +162,7 @@ def cmd_essentialize(args) -> int:
 def cmd_paths(args) -> int:
     f = _load_graphing(args.left)
     g = _load_graphing(args.right)
-    found = alternating_paths(f, g, max_len=args.max_len, cap=args.cap)
+    found = alternating_paths(f, g, max_len=args.max_len)
     by_len: dict[int, int] = {}
     for p in found:
         by_len[p.length] = by_len.get(p.length, 0) + 1
@@ -176,7 +176,7 @@ def cmd_exec(args) -> int:
     f = _load_graphing(args.left)
     g = _load_graphing(args.right)
     cut = _load_cut(args.cut)
-    result = plug(f, g, cut, max_len=args.max_len, cap=args.cap)
+    result = plug(f, g, cut, max_len=args.max_len)
     return _emit(result.to_json())
 
 
@@ -184,7 +184,7 @@ def cmd_measure(args) -> int:
     f = _load_graphing(args.left)
     g = _load_graphing(args.right)
     tol = rat(args.tol) if args.tol else measurement.DEFAULT_TOL
-    value = measurement.measure_graphings(f, g, mode=args.mode, tol=tol, cap=args.cap)
+    value = measurement.measure_graphings(f, g, mode=args.mode, tol=tol)
     print(_value_str(value))
     return 0
 
@@ -215,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--psi", choices=sorted(PSIS), default="default",
                        help="vertex block layout")
 
-    def budget(p):
-        p.add_argument("--cap", type=_count, default=None,
-                       help=f"budget of every plug and search; overrides {ENV_CAP}")
-
     p = sub.add_parser("decide", help="run a machine on a word")
     p.add_argument("machine_pos", nargs="?", metavar="machine",
                    help="machine JSON file, builtin name, or -")
@@ -227,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--json", action="store_true", help="JSON verdict")
     common(p)
-    budget(p)
     p.set_defaults(fn="cmd_decide")
 
     p = sub.add_parser("encode-automaton", help="compile an automaton")
@@ -247,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("--max-len", type=_count, default=4)
     common(p)
-    budget(p)
     p.set_defaults(fn="cmd_compare")
 
     p = sub.add_parser("roundtrip", help="compare a compiled machine's extraction")
@@ -267,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--max-len", type=_count, default=8)
-    budget(p)
     p.set_defaults(fn="cmd_paths")
 
     p = sub.add_parser("exec", help="compose two graphings along a cut")
@@ -276,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", required=True,
                    help="cut as inline JSON or @file")
     p.add_argument("--max-len", type=_count, default=None)
-    budget(p)
     p.set_defaults(fn="cmd_exec")
 
     p = sub.add_parser("measure", help="pair two graphings")
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--mode", choices=("exact", "series"), default="exact")
     p.add_argument("--tol", default=None, help="series tolerance, e.g. 1/1024")
-    budget(p)
     p.set_defaults(fn="cmd_measure")
 
     p = sub.add_parser("correspond", help="runs of an automaton against paths")

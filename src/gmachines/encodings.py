@@ -347,19 +347,19 @@ def _run_to_path(tr, root, cg, prov, init_tag: int):
     cell = root
     tag = init_tag
     for step, t in enumerate(tr):
-        hits = [j for j, _img in cg.arrows(0, tag, cg.cell_box(cell)) if prov[j] == t]
+        hits = [(j, img) for j, img in cg.arrows(0, tag, cg.cell_box(cell)) if prov[j] == t]
         if len(hits) != 1:
             return None, f"step {step + 1}: {len(hits)} machine edges chain"
-        (j,) = hits
+        ((j, img),) = hits
         path.append((0, j))
-        cell = cg.image(0, j, cell)
+        cell = cg.box_cell(img)
         tag = cg.edge(0, j).out_state
         if step + 1 < len(tr):
             hops = cg.arrows(1, 0, cg.cell_box(cell))
             if len(hops) != 1:
                 return None, f"step {step + 1}: {len(hops)} word moves at {cell}"
             path.append((1, hops[0][0]))
-            cell = cg.image(1, hops[0][0], cell)
+            cell = cg.box_cell(hops[0][1])
     return tuple(path), ""
 
 

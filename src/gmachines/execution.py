@@ -30,7 +30,7 @@ listed, and a descriptor built, only when a result is read out
 (`CellGraph.walks`, `CellGraph.descriptor`).  Every set the walk reads,
 each edge's source and the cut, is read once into grid boxes
 (`CellGraph.grid_boxes`), so a group meets a source or the cut by range
-arithmetic (`_meet`, `_minus`) and nothing is listed cell by cell.
+arithmetic (`_meet`, `_split`) and nothing is listed cell by cell.
 `_chain` fires an edge on the pair, and is also the exact engine's
 dialect bookkeeping.  `seeds` fires every edge from the free pair on its
 source boxes less the cut; `successors` lets the side whose turn it is
@@ -177,53 +177,48 @@ def _meet(box: GridBox, other: GridBox) -> GridBox | None:
     return lo, hi, tuple(ranges)
 
 
-def _minus(boxes: list, others) -> list:
-    """Disjoint grid boxes holding the cells of boxes that no box of
-    others holds.  A box that meets another is cut, along the line and
-    then along each coordinate, into the part they share and at most two
-    parts either side of it on that axis."""
+def _split(boxes: list, others) -> tuple[list, list]:
+    """Grid boxes cut by others: (the parts inside a box of others, the
+    disjoint parts outside them all).  A box that meets another is cut,
+    along the line and then along each coordinate, into the part they
+    share and at most two parts either side of it on that axis.  The
+    parts inside are disjoint when the boxes of others are."""
+    inside = []
     for olo, ohi, ors in others:
         out = []
         for b in boxes:
             lo, hi, rs = b
-            # the ranges the two boxes share, coordinate by coordinate
-            mids = [(a if a > c else c, z if z < d else d) for (a, z), (c, d) in zip(rs, ors)]
-            if ohi <= lo or hi <= olo or any(x >= y for x, y in mids):
+            if ohi <= lo or hi <= olo:
                 out.append(b)
                 continue
-            if lo < olo:
-                out.append((lo, olo, rs))
-                lo = olo
-            if ohi < hi:
-                out.append((ohi, hi, rs))
-                hi = ohi
-            for i, ((a, z), (x, y)) in enumerate(zip(rs, mids)):
-                if a < x:
-                    out.append((lo, hi, (*mids[:i], (a, x), *rs[i + 1:])))
-                if y < z:
-                    out.append((lo, hi, (*mids[:i], (y, z), *rs[i + 1:])))
+            # the ranges the two boxes share, coordinate by coordinate
+            mids = []
+            for (a, z), (c, d) in zip(rs, ors):
+                if c > a:
+                    a = c
+                if d < z:
+                    z = d
+                if a >= z:
+                    out.append(b)
+                    break
+                mids.append((a, z))
+            else:
+                if lo < olo:
+                    out.append((lo, olo, rs))
+                    lo = olo
+                if ohi < hi:
+                    out.append((ohi, hi, rs))
+                    hi = ohi
+                mids = tuple(mids)
+                if mids != rs:
+                    for i, ((a, z), (x, y)) in enumerate(zip(rs, mids)):
+                        if a < x:
+                            out.append((lo, hi, (*mids[:i], (a, x), *rs[i + 1:])))
+                        if y < z:
+                            out.append((lo, hi, (*mids[:i], (y, z), *rs[i + 1:])))
+                inside.append((lo, hi, mids))
         boxes = out
-    return boxes
-
-
-def _split(boxes: list, cut, full) -> tuple[list, list]:
-    """Grid boxes split at the cut's boxes: (the parts inside, the parts
-    outside).  A box on blocks in full, blocks the cut holds whole, is
-    inside at once."""
-    inside: list = []
-    outside: list = []
-    for b in boxes:
-        if full.issuperset(range(b[0], b[1])):
-            inside.append(b)
-            continue
-        parts = [p for c in cut if (p := _meet(b, c)) is not None]
-        if not parts:
-            outside.append(b)
-            continue
-        inside += parts
-        if parts != [b] and cell_count(parts) < cell_count((b,)):
-            outside += _minus([b], cut)
-    return inside, outside
+    return inside, boxes
 
 
 class CellGraph:
@@ -346,6 +341,13 @@ class CellGraph:
         blk, cube = cell
         return blk, blk + 1, tuple([(x, x + 1) for x in cube])
 
+    @staticmethod
+    def box_cell(boxes: list) -> Cell:
+        """The cell of a list holding one one-cell box, the image of a
+        one-cell box."""
+        ((blk, _hi, ranges),) = boxes
+        return blk, tuple([x for x, _z in ranges])
+
     # -- arrows ------------------------------------------------------------
 
     def source_cells(self, side: int, k: int) -> Iterable[Cell]:
@@ -439,13 +441,11 @@ class CellGraph:
                 table = self._index[key] = _slab_table(self._spans[key])
             # without coordinates a block's table has one slab
             slabs += _slabs_meeting(table, a, z) if ranges else table[1]
+        if not slabs:
+            return []
         # a source box listed on several slabs is tried once
         listed = slabs[0] if len(slabs) == 1 else sorted({p for ps in slabs for p in ps})
         rules = self._edges[side]
-        if hi - lo == 1 and (not ranges or len(ranges) == 1 and ranges[0][1] - ranges[0][0] == 1):
-            # one cell, and no coordinate past the first: each source box
-            # listed on the cell's slab holds it
-            return [(k, self.images(rules[k][1], box)) for k, _src in listed]
         out: list = []
         for k, src in listed:
             piece = _meet(box, src)
@@ -457,21 +457,13 @@ class CellGraph:
                     out.append((k, imgs))
         return out
 
-    def whole_blocks(self, boxes) -> set[int]:
-        """The blocks that one of the grid boxes holds whole."""
-        whole = ((0, self.n),) * self.N
-        return {blk for lo, hi, ranges in boxes if ranges == whole for blk in range(lo, hi)}
-
     def seeds(self, cut=()):
         """Every edge fired from the free pair on its source boxes less
-        the cut, given as grid boxes: (side, k, node, boxes reached).
-        Source boxes on blocks that the cut holds whole are passed over
-        at once."""
-        full = self.whole_blocks(cut)
+        the cut, given as grid boxes: (side, k, node, boxes reached)."""
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
                 boxes, imap = self._edges[side][k]
-                boxes = _minus([b for b in boxes if not full.issuperset(range(b[0], b[1]))], cut)
+                _in, boxes = _split(boxes, cut)
                 if boxes:
                     yield side, k, (_chain(FREE, side, e), 1 - side), \
                         [img for b in boxes for img in self.images(imap, b)]
@@ -670,7 +662,6 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
     exit boxes become start cells, and each distinct map a descriptor,
     only when results are read."""
     boxes = cg.grid_boxes(cut, "cut")
-    full = cg.whole_blocks(boxes)
     # (dialect pair, map, dilation, flag) -> boxes where walks leave the cut
     results: dict = {}
     budget = expansion_cap(cap)
@@ -691,9 +682,9 @@ def _plug_cells(cg: CellGraph, cut, cap, max_len):
         if known is None:
             seen[key] = list(reached)
         else:
-            reached = _minus(reached, known)
+            _in, reached = _split(reached, known)
             known += reached
-        inside, outside = _split(reached, boxes, full)
+        inside, outside = _split(reached, boxes)
         if outside:
             results.setdefault((node[0], imap, a, flag), []).extend(outside)
         if inside:

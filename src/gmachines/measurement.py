@@ -97,12 +97,12 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
         nonlocal arcs
         cell, turn, state, idle = node
         if idle in live[1 - turn]:
-            for k, _img in cg.arrows(turn, state, cg.cell_box(cell)):
+            for k, img in cg.arrows(turn, state, cg.cell_box(cell)):
                 arcs += 1
                 if arcs > budget:
                     raise IterationCapExceeded(
                         f"circuit search grew past {budget} arrows")
-                yield cg.image(turn, k, cell), 1 - turn, idle, cg.edge(turn, k).out_state
+                yield cg.box_cell(img), 1 - turn, idle, cg.edge(turn, k).out_state
 
     flagged = [((cell, side, e.in_state, idle),
                 (cg.image(side, k, cell), 1 - side, idle, e.out_state))

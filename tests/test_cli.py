@@ -1,7 +1,6 @@
 """Command line round trips; everything goes through main()."""
 
 import copy
-from fractions import Fraction
 import json
 import re
 
@@ -12,8 +11,7 @@ from gmachines import cli
 from gmachines.automata import (MultiheadAutomaton, parity_automaton,
                                 zeros_ones_automaton)
 from gmachines.encodings import automaton_to_machine
-from gmachines.graphings import Edge, GraphingRep, Weight
-from gmachines.microcosm import TransformationDescriptor
+from gmachines.graphings import GraphingRep
 
 from conftest import line_edge, seg
 from test_cli_golden import _inputs
@@ -236,39 +234,6 @@ def test_budget_variable_must_not_be_negative(capsys, monkeypatch, budget, err):
     # a negative budget is refused as input; 0 is a budget that nothing fits
     monkeypatch.setenv("GM_MAX_PATH_LEN", budget)
     assert run(capsys, "decide", "parity", "0110") == (2, "", err)
-
-
-def test_cap_flag_sets_the_budget(capsys, monkeypatch, tmp_path, conveyor, doubler):
-    # 394 cells fired is the least budget this decide passes with; the
-    # flag overrides the environment's budget
-    monkeypatch.setenv("GM_MAX_PATH_LEN", "1")
-    assert run(capsys, "decide", "zeros-ones", "00001111", "--cap", "394") == \
-        (0, "pass\n", "")
-    assert run(capsys, "decide", "zeros-ones", "00001111", "--cap", "393") == \
-        (2, "", "error: NonTerminating: plug exceeded the budget of 393 "
-                "cell-arrow expansions\n")
-    monkeypatch.delenv("GM_MAX_PATH_LEN")
-    assert run(capsys, "compare", "zeros-ones", "--max-len", "2", "--cap", "40")[0] == 2
-    assert run(capsys, "compare", "zeros-ones", "--max-len", "2", "--cap", "400")[0] == 0
-    left, right = tmp_path / "left.json", tmp_path / "right.json"
-    left.write_text(json.dumps(conveyor.to_json()))
-    right.write_text(json.dumps(doubler.to_json()))
-    code, _, err = run(capsys, "paths", str(left), str(right), "--cap", "15")
-    assert code == 2 and "IterationCapExceeded" in err
-    code, _, err = run(capsys, "exec", str(left), str(right), "--cap", "15",
-                       "--cut", json.dumps(seg(1, 4).to_json()))
-    assert code == 2 and "NonTerminating" in err
-    # a loop pair whose one circuit has period 3
-    shift = GraphingRep(seg(0, 1), 1, [Edge(seg(0, 1), 0, 0, TransformationDescriptor(
-        shifts={1: Fraction(1, 3)}), Weight(Fraction(1, 2), 1))])
-    still = GraphingRep(seg(0, 1), 1, [Edge(seg(0, 1), 0, 0, TransformationDescriptor(),
-                                            Weight(Fraction(1, 2)))])
-    left.write_text(json.dumps(shift.to_json()))
-    right.write_text(json.dumps(still.to_json()))
-    series = ["measure", str(left), str(right), "--mode", "series"]
-    assert run(capsys, *series) == (0, "16643/786429\n", "")
-    code, _, err = run(capsys, *series, "--cap", "5")
-    assert code == 2 and "IterationCapExceeded" in err
 
 
 def test_essentialize_idempotent_output(capsys, parity_machine_file):
@@ -506,11 +471,6 @@ def test_unknown_subcommand_errors(capsys):
     ["correspond", "parity", "--word", "01", "--max-steps", "-1"],
     ["paths", "left.json", "right.json", "--max-len", "-1"],
     ["exec", "left.json", "right.json", "--cut", "[]", "--max-len", "-3"],
-    ["decide", "parity", "01", "--cap", "-1"],
-    ["compare", "parity", "--cap", "-1"],
-    ["paths", "left.json", "right.json", "--cap", "-1"],
-    ["exec", "left.json", "right.json", "--cut", "[]", "--cap", "-1"],
-    ["measure", "left.json", "right.json", "--cap", "-1"],
 ])
 def test_negative_lengths_exit_two(capsys, argv):
     # these used to report "0 words", "languages agree up to length -2"
