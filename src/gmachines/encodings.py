@@ -81,6 +81,9 @@ def _compile(a: MultiheadAutomaton,
 
     edges = []
     prov = []
+    # each distinct map, (block offset, coordinate swapped with 1), is built
+    # once and shared by the edges that use it
+    maps: dict[tuple[int, int], TransformationDescriptor] = {}
     for t in a.transitions:
         i = t.head
         halting = t.next in HALTING
@@ -106,11 +109,12 @@ def _compile(a: MultiheadAutomaton,
             else:
                 tgt_key = (t.read[i - 1], _flip(t.direction))
                 tgt_tag = index[(t.next, _bump(sig, coord), t.read)]
-            mapd = TransformationDescriptor(
-                offset=psi.block(tgt_key) - psi.block(src_key),
-                perm=Perm.transposition(1, coord))
+            key = (psi.block(tgt_key) - psi.block(src_key), coord)
+            if key not in maps:
+                maps[key] = TransformationDescriptor(
+                    offset=key[0], perm=Perm.transposition(1, coord))
             edges.append(Edge(psi.mset(src_key), index[(t.state, sig, mem)],
-                              tgt_tag, mapd, ONE))
+                              tgt_tag, maps[key], ONE))
             prov.append(t)
 
     g = GraphingRep(psi.machine_support(), len(index), edges)

@@ -12,9 +12,12 @@ The cell engine applies when every map is rigid at some grid: slope one,
 integer offsets, circle shifts on grid lines, coordinate permutations
 within a bound.  Rigidity is read once, by `cell_decompose`, which infers
 the grid and bound or raises NotCellRigid; `plug` takes the cell route
-exactly when that succeeds.  Rigid maps send grid cells to grid cells, so
-paths become walks on a finite graph of cells and plugging terminates by
-state deduplication.
+exactly when that succeeds.  It reads each distinct map and each distinct
+set once, telling them apart by identity: the edges of a compiled machine
+share some twenty maps and eight source blocks, and a graphing read from
+JSON, which shares nothing, takes the same path one edge at a time.
+Rigid maps send grid cells to grid cells, so paths become walks on a
+finite graph of cells and plugging terminates by state deduplication.
 
 The cell engine is one walk on a finite product graph.  A node is
 (dialect pair, side to fire); the pair holds, per side, the in-state of
@@ -27,18 +30,21 @@ they are at.  A walk carries its map as grid integers
 (`CellGraph.compose`) and its weight as dilation and flag; the cell a
 walk started from is the inverse map of where it is, so start cells are
 listed, and a descriptor built, only when a result is read out
-(`CellGraph.walks`, `CellGraph.descriptor`).  Every set the walk reads,
-each edge's source and the cut, is read once into grid boxes
-(`CellGraph.grid_boxes`), so a group meets a source or the cut by range
-arithmetic (`_meet`, `_split`) and nothing is listed cell by cell.
+(`CellGraph.walks`, `CellGraph.descriptor`).  Every distinct set the
+walk reads, an edge's source or the cut, is read once into grid boxes
+(`CellGraph.grid_boxes`), and every distinct map once into integers, so
+a group meets a source or the cut by range arithmetic (`_meet`,
+`_split`) and nothing is listed cell by cell.
 `_chain` fires an edge on the pair, and is also the exact engine's
 dialect bookkeeping.  `seeds` fires every edge from the free pair on its
 source boxes less the cut; `successors` lets the side whose turn it is
 fire an edge chaining at its out-state, or any edge while still free.
 Which edges fire on a box, and the boxes they send it to, is asked of
 `CellGraph.arrows` alone; the circuit search and the run-to-path map ask
-it of one-cell boxes.  The budget counts cells fired, a box's volume, so
-it does not depend on how the cells are boxed.  Plugging, `walk_counts`,
+it of one-cell boxes, and the circuit search roots itself at the cells
+`CellGraph.landings` gives, where a flagged edge lands and the other side
+fires next.  The budget counts cells fired, a box's volume, so it does
+not depend on how the cells are boxed.  Plugging, `walk_counts`,
 the circuit search and listing of the measurement module, and the
 run-to-path map of the encodings module are searches over this graph.
 
@@ -228,34 +234,66 @@ class CellGraph:
     every graphing maps cells onto cells, so the walks that share a label
     sequence move as one group, carried as disjoint grid boxes of the
     cells they are at.  A grid box is a run of blocks and one range of
-    grid indices per coordinate; every set the engine reads, an edge's
-    source or a cut, is read once into grid boxes (`grid_boxes`).  Arrows
+    grid indices per coordinate; every distinct set the engine reads, an
+    edge's source or a set in extra such as the cut, is read once into
+    grid boxes (`grid_boxes`), the sets in extra kept as `extra`.  Arrows
     are computed on demand: the graph only stores, per edge, its source
     boxes and its map as integers, (block offset, moves), the moves giving
     per coordinate of the image the coordinate it reads and the grid steps
-    it shifts by.  A rigid map sends a box to at most 2^N boxes: the moves
-    reorder the ranges and a shift splits a range at most once, at the
-    wrap (`images`).  Walks compose these integer maps (`compose`); a
-    group's start cells are the inverse map of its boxes (`walks`), and a
-    map becomes a descriptor only to read a result out (`descriptor`, once
-    per map); `steps` holds each edge's map with its dilation and flag.
-    `arrows` is the one place that tries edges on a box: it returns the
-    edges firing there with the boxes they send it to, found by slab
-    lookup.  Per side, block and in-state (and under in-state None for a
+    it shifts by.  Edges that share a source set or a descriptor object
+    share these: each distinct one is checked for rigidity, read for the
+    grid and the bound, and turned into boxes or integers once.  A rigid
+    map sends a box to at most 2^N boxes: the moves reorder the ranges and
+    a shift splits a range at most once, at the wrap (`images`).  Walks
+    compose these integer maps (`compose`); a group's start cells are the
+    inverse map of its boxes (`walks`), and a map becomes a descriptor
+    only to read a result out (`descriptor`, once per map); `steps` holds
+    each edge's map with its dilation and flag.  `arrows` is the one place
+    that tries edges on a box: it returns the edges firing there with the
+    boxes they send it to, found by slab lookup (`_listed`); `landings`
+    asks the same lookup where an edge's image meets the other side's
+    sources.  Per side, block and in-state (and under in-state None for a
     side that may bind any), coordinate 1 is cut at every endpoint of the
     source boxes there, each slab listing the source boxes covering it
     (`_slab_table`, built on first use); only the source boxes listed on
     the slabs a box meets are intersected with it.  A firing counts the
     cells it carries, the volume of its boxes (`cell_count`), so the
     budget's unit is a cell fired however the cells are boxed.  Built by
-    `cell_decompose`, which reads the grid and the coordinate bound off
-    the same edges.
+    `cell_decompose`; the grid and the coordinate bound are read off the
+    same distinct maps and sets.
     """
 
-    def __init__(self, gs: Sequence[GraphingRep], grid: int, bound: int):
+    def __init__(self, gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()):
         self.gs = list(gs)
+        # the distinct maps and source sets, told apart by identity: edges
+        # compiled or promoted together share them
+        maps: dict[int, TransformationDescriptor] = {}
+        sets: dict[int, MSet] = {}
+        grid, bound = 1, 0
+        for side, g in enumerate(self.gs):
+            for k, e in enumerate(g.edges):
+                d = e.mapd
+                if id(d) not in maps:
+                    if d.slope != 1 or d.offset.denominator != 1:
+                        raise NotCellRigid(f"graphing {side} edge {k}: slope {d.slope} "
+                                           f"and offset {d.offset} are not rigid")
+                    maps[id(d)] = d
+                    for idx, lam in d.shifts:
+                        grid = lcm(grid, lam.denominator)
+                        bound = max(bound, idx)
+                    bound = max(bound, max(d.perm.support(), default=0))
+                sets.setdefault(id(e.source), e.source)
+        for m in (*extra, *sets.values()):
+            for b in m.boxes:
+                if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
+                    raise NotCellRigid(f"block [{b.line.lo},{b.line.hi}) is not integral")
+                for idx, iv in b.coords:
+                    grid = lcm(grid, iv.lo.denominator, iv.hi.denominator)
+                    bound = max(bound, idx)
         self.n = grid
         self.N = bound
+        # the grid boxes of each set in extra
+        self.extra = [self.grid_boxes(m, "extra set") for m in extra]
         # per side and edge: (source boxes, (block offset, moves)), where
         # moves[i] = (j, s) puts cube[j] + s (mod n) at coordinate i + 1
         self._edges: list[list[tuple]] = []
@@ -272,22 +310,25 @@ class CellGraph:
         # the range a box without coordinates is looked up on coordinate 1
         self._whole = (0, grid)
         fixed = tuple((c, 0) for c in range(bound))
+        imaps = {}
+        for i, d in maps.items():
+            moves = fixed  # shared by the maps that move no coordinate
+            if d.shifts or not d.perm.is_identity():
+                moves = list(fixed)
+                for c in d.perm.support():
+                    moves[d.perm(c) - 1] = (c - 1, 0)
+                for j, lam in d.shifts:
+                    # the grid is a multiple of every shift's denominator
+                    moves[j - 1] = (moves[j - 1][0], lam.numerator * (grid // lam.denominator))
+                moves = tuple(moves)
+            imaps[i] = (int(d.offset), moves)
+        sources = {i: self.grid_boxes(m, "edge source") for i, m in sets.items()}
         for side, g in enumerate(self.gs):
             rules = []
             steps = []
             for k, e in enumerate(g.edges):
-                d = e.mapd
-                moves = fixed  # shared by the edges that move no coordinate
-                if d.shifts or not d.perm.is_identity():
-                    moves = list(fixed)
-                    for c in d.perm.support():
-                        moves[d.perm(c) - 1] = (c - 1, 0)
-                    for i, lam in d.shifts:
-                        # cell_decompose puts every shift on the grid
-                        moves[i - 1] = (moves[i - 1][0], lam.numerator * (grid // lam.denominator))
-                    moves = tuple(moves)
-                boxes = self.grid_boxes(e.source, "edge source")
-                imap = (int(d.offset), moves)
+                boxes = sources[id(e.source)]
+                imap = imaps[id(e.mapd)]
                 rules.append((boxes, imap))
                 a = e.weight.a
                 steps.append((imap, 1 if a == 1 else a, e.weight.flag))
@@ -358,12 +399,6 @@ class CellGraph:
                 for cube in iproduct(*dims):
                     yield blk, cube
 
-    def image(self, side: int, k: int, cell: Cell) -> Cell:
-        blk, cube = cell
-        _boxes, (offset, moves) = self._edges[side][k]
-        n = self.n
-        return blk + offset, tuple([(cube[j] + s) % n for j, s in moves])
-
     def images(self, imap: tuple, box: GridBox) -> list[GridBox]:
         """The grid boxes an integer map sends a box's cells to: one, or
         one per side of the wrap of each range that a shift carries
@@ -423,12 +458,11 @@ class CellGraph:
                 tuple((i + 1, Fraction(s, self.n)) for i, (_j, s) in enumerate(moves) if s))
         return self._descs[imap]
 
-    def arrows(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, list]]:
-        """The edges of one side firing on a box from a dialect state, as
-        (edge, the boxes its part of the box goes to) in edge order; state
-        None admits every in-state.  Only the source boxes listed on the
-        coordinate-1 slabs of its keys that the box meets are intersected
-        with it."""
+    def _listed(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, GridBox]]:
+        """The (edge, source box) pairs of one side that may meet a box
+        from a dialect state, in edge order: those listed on the
+        coordinate-1 slabs of its keys that the box meets.  State None
+        admits every in-state."""
         lo, hi, ranges = box
         a, z = ranges[0] if ranges else self._whole
         slabs: list = []
@@ -441,13 +475,19 @@ class CellGraph:
                 table = self._index[key] = _slab_table(self._spans[key])
             # without coordinates a block's table has one slab
             slabs += _slabs_meeting(table, a, z) if ranges else table[1]
-        if not slabs:
-            return []
+        if len(slabs) < 2:
+            return slabs[0] if slabs else []
         # a source box listed on several slabs is tried once
-        listed = slabs[0] if len(slabs) == 1 else sorted({p for ps in slabs for p in ps})
+        return sorted({p for ps in slabs for p in ps})
+
+    def arrows(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, list]]:
+        """The edges of one side firing on a box from a dialect state, as
+        (edge, the boxes its part of the box goes to) in edge order; state
+        None admits every in-state.  Only the source boxes `_listed` for
+        the box are intersected with it."""
         rules = self._edges[side]
         out: list = []
-        for k, src in listed:
+        for k, src in self._listed(side, state, box):
             piece = _meet(box, src)
             if piece is not None:
                 imgs = self.images(rules[k][1], piece)
@@ -456,6 +496,15 @@ class CellGraph:
                 else:
                     out.append((k, imgs))
         return out
+
+    def landings(self, side: int, k: int, state: int) -> dict[Cell, Cell]:
+        """{start cell: cell} over the cells edge k of one side sends into a
+        source of the other side's edges of in-state state: the cells where
+        the other side can fire next from that state."""
+        boxes, imap = self._edges[side][k]
+        return self.walks(imap, [piece for b in boxes for img in self.images(imap, b)
+                                 for _j, src in self._listed(1 - side, state, img)
+                                 if (piece := _meet(img, src)) is not None])
 
     def seeds(self, cut=()):
         """Every edge fired from the free pair on its source boxes less
@@ -494,27 +543,9 @@ class CellGraph:
 
 def cell_decompose(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> CellGraph:
     """Cell structure of the given graphings, and of the sets in extra, at
-    the coarsest grid that makes them rigid; NotCellRigid if none does."""
-    grid, bound = 1, 0
-    boxes = [b for m in extra for b in m.boxes]
-    for side, g in enumerate(gs):
-        for k, e in enumerate(g.edges):
-            d = e.mapd
-            if d.slope != 1 or d.offset.denominator != 1:
-                raise NotCellRigid(f"graphing {side} edge {k}: slope {d.slope} "
-                                   f"and offset {d.offset} are not rigid")
-            for idx, lam in d.shifts:
-                grid = lcm(grid, lam.denominator)
-                bound = max(bound, idx)
-            bound = max(bound, max(d.perm.support(), default=0))
-            boxes.extend(e.source.boxes)
-    for b in boxes:
-        if b.line.lo.denominator != 1 or b.line.hi.denominator != 1:
-            raise NotCellRigid(f"block [{b.line.lo},{b.line.hi}) is not integral")
-        for idx, iv in b.coords:
-            grid = lcm(grid, iv.lo.denominator, iv.hi.denominator)
-            bound = max(bound, idx)
-    return CellGraph(gs, grid, bound)
+    the coarsest grid that makes them rigid; NotCellRigid if none does.
+    Each distinct map and set, told apart by identity, is read once."""
+    return CellGraph(gs, extra)
 
 
 @dataclass(frozen=True)
@@ -653,15 +684,16 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
             "graphings overlap outside the cut region")
 
 
-def _plug_cells(cg: CellGraph, cut, cap, max_len):
+def _plug_cells(cg: CellGraph, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
-    the cut; a walk becomes a composite edge where it leaves the cut.  A
+    the cut, the one extra set of cg; a walk becomes a composite edge
+    where it leaves the cut.  A
     group carries its cells as grid boxes, its map as integers and its
     weight as dilation and flag.  Boxes are deduplicated per (node, map,
     weight) against the boxes already reached there, and split at the cut;
     exit boxes become start cells, and each distinct map a descriptor,
     only when results are read."""
-    boxes = cg.grid_boxes(cut, "cut")
+    (boxes,) = cg.extra
     # (dialect pair, map, dilation, flag) -> boxes where walks leave the cut
     results: dict = {}
     budget = expansion_cap(cap)
@@ -746,7 +778,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: MSet, *, max_len: int | None = Non
     except NotCellRigid:
         found, truncated = _plug_general(f, g, cut, cap, max_len)
     else:
-        found, truncated = _plug_cells(cg, cut, cap, max_len)
+        found, truncated = _plug_cells(cg, cap, max_len)
     if truncated and not allow_truncation:
         raise NonTerminating("plugging truncated at the requested length")
     return _composite(f, g, cut, found)

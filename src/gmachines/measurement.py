@@ -5,10 +5,11 @@ circuits they form, the return behaviour of each circuit's points.  Only
 circuits carrying the marker flag contribute, and only points that
 actually return do.  With every dilation equal to one this collapses to a
 dichotomy: zero when no flagged circuit exists, infinite otherwise.  The
-search runs on demand over the finite cell structure: it expands only
-what the targets of flagged arrows reach, and its budget counts the arcs
-it expands.  With dilations below one the series converges: a closed
-orbit of period rho and measure mu under a circuit of dilation a adds
+search runs on demand over the finite cell structure: it roots only at
+the targets of flagged arrows from which the other side fires, expands
+only what they reach, and its budget counts the arcs it expands.  With
+dilations below one the series converges: a closed orbit of period rho
+and measure mu under a circuit of dilation a adds
 mu * sum_{n >= 1} gcd(n, rho)/rho * a^lcm(n, rho) over the circuit's
 powers, one sum over the squarefree divisors of rho in closed form.  A
 geometric bound on the tail, which does not depend on the circuits,
@@ -80,10 +81,21 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     through a flagged arrow in the finite graph on (cell, side to fire,
     state of either side).  The idle side's state stays put; on a circuit
     an arrow of that side entered it and another will leave it, so only
-    live states are carried.  A flagged arrow lies on a cycle exactly when
-    its target reaches its source, so one Tarjan pass from the flagged
-    targets decides, expanding only what they reach; the budget counts
-    the arcs it expands."""
+    live states are carried.  A flagged arrow u -> v lies on a cycle
+    exactly when v reaches u, so one Tarjan pass from the flagged targets
+    decides, expanding only what they reach; the budget counts the arcs
+    it expands.
+
+    A target is a root only where it has a successor: every successor of
+    v fires on the other side, from the idle state, so v is taken only at
+    the cells of the flagged edge's image that meet a source of the other
+    side's edges of that in-state (`CellGraph.landings`), and u is read
+    back through the edge's inverse map.  This is exact.  A v without a
+    successor is a component of its own, and u is not v, since the side
+    to fire flips; so it closes no flagged circuit.  It expands no arc
+    either, so the arcs the budget counts, and every least passing cap,
+    stay the same.  For the same reason an edge whose out-state is not
+    live on its own side roots nothing."""
     if not (any(e.weight.flag for e in f.edges) or any(e.weight.flag for e in g.edges)):
         return False
     cg = cell_decompose([f, g])
@@ -104,12 +116,11 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
                         f"circuit search grew past {budget} arrows")
                 yield cg.box_cell(img), 1 - turn, idle, cg.edge(turn, k).out_state
 
-    flagged = [((cell, side, e.in_state, idle),
-                (cg.image(side, k, cell), 1 - side, idle, e.out_state))
+    flagged = [((start, side, e.in_state, idle), (cell, 1 - side, idle, e.out_state))
                for side, h in enumerate((f, g))
-               for k, e in enumerate(h.edges) if e.weight.flag
-               for cell in cg.source_cells(side, k)
-               for idle in live[1 - side]]
+               for k, e in enumerate(h.edges) if e.weight.flag and e.out_state in live[side]
+               for idle in live[1 - side]
+               for start, cell in cg.landings(side, k, idle).items()]
     comp = _scc([v for _u, v in flagged], successors)
     return any(comp.get(u) == comp[v] for u, v in flagged)
 

@@ -221,32 +221,50 @@ def _sweep(members: list, keep) -> tuple:
 
     members are (tag, constraints) pairs, the constraints a tuple of
     (axis, Interval) sorted by axis, the line being axis 0.  The least
-    axis any member constrains is cut at every endpoint, and each slab
-    recurses on the members covering it.  Adjacent slabs with equal
+    axis any member constrains is cut at every endpoint, and each slab is
+    swept in turn on the members covering it.  Adjacent slabs with equal
     contents merge, and a cube axis whose only slab is [0,1) is dropped,
-    so the pieces depend on the kept set alone.
+    so the pieces depend on the kept set alone.  The axes are walked with
+    an explicit stack, one frame per axis, so a set may constrain any
+    number of coordinates.
     """
-    axes = [cs[0][0] for _, cs in members if cs]
-    if not axes:
-        return ((),) if keep({t for t, _ in members}) else ()
-    d = min(axes)
-    cut = [(t, cs[0][1], cs[1:]) if cs and cs[0][0] == d else (t, UNIT, cs)
-           for t, cs in members]
-    pts = sorted({p for _, iv, _ in cut for p in (iv.lo, iv.hi)})
-    slabs: list[tuple[Fraction, Fraction, tuple]] = []
-    for lo, hi in zip(pts, pts[1:]):
-        sub = _sweep([(t, rest) for t, iv, rest in cut
-                      if iv.lo <= lo and hi <= iv.hi], keep)
-        if not sub:
-            continue
-        if slabs and slabs[-1][1] == lo and slabs[-1][2] == sub:
-            slabs[-1] = (slabs[-1][0], hi, sub)
+    # per open axis: [axis, cut members, endpoints, slabs opened, pieces]
+    stack: list[list] = []
+    while True:
+        axes = [cs[0][0] for _, cs in members if cs]
+        if axes:
+            d = min(axes)
+            cut = [(t, cs[0][1], cs[1:]) if cs and cs[0][0] == d else (t, UNIT, cs)
+                   for t, cs in members]
+            pts = sorted({p for _, iv, _ in cut for p in (iv.lo, iv.hi)})
+            stack.append([d, cut, pts, 0, []])
+            sub = None
         else:
-            slabs.append((lo, hi, sub))
-    if d and len(slabs) == 1 and slabs[0][:2] == (0, 1):
-        return slabs[0][2]
-    return tuple(((d, Interval(lo, hi)),) + piece
-                 for lo, hi, sub in slabs for piece in sub)
+            sub = ((),) if keep({t for t, _ in members}) else ()
+        # hand each finished sweep to its axis until one has a slab left
+        while stack:
+            top = stack[-1]
+            d, cut, pts, i, slabs = top
+            if sub:
+                # the pieces of slab i - 1
+                lo, hi = pts[i - 1], pts[i]
+                if slabs and slabs[-1][1] == lo and slabs[-1][2] == sub:
+                    slabs[-1] = (slabs[-1][0], hi, sub)
+                else:
+                    slabs.append((lo, hi, sub))
+            if i + 1 < len(pts):
+                lo, hi = pts[i], pts[i + 1]
+                top[3] = i + 1
+                members = [(t, rest) for t, iv, rest in cut if iv.lo <= lo and hi <= iv.hi]
+                break
+            stack.pop()
+            if d and len(slabs) == 1 and slabs[0][:2] == (0, 1):
+                sub = slabs[0][2]
+            else:
+                sub = tuple(((d, Interval(lo, hi)),) + piece
+                            for lo, hi, pieces in slabs for piece in pieces)
+        else:
+            return sub
 
 
 class MSet:

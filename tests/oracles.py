@@ -173,9 +173,9 @@ def brute_plug(fs, gs, cut, max_len):
 
 def ref_arrows(cells):
     """(side, k, cell, image) for every arrow.  `cells` is a cell
-    decomposition: its graphings gs, source_cells(side, k) and
-    image(side, k, cell)."""
-    return [(side, k, cell, cells.image(side, k, cell))
+    decomposition: its graphings gs, grid n, coordinate count N and
+    source_cells(side, k)."""
+    return [(side, k, cell, image(cells, side, k, cell))
             for side, g in enumerate(cells.gs)
             for k in range(len(g.edges))
             for cell in cells.source_cells(side, k)]
@@ -230,6 +230,23 @@ def ref_edges_from(cells, side, state, cell, lists=None):
     return [k for k, s in lists.get(cell, ()) if state in (None, s)]
 
 
+# -- the cell an edge sends a cell to -----------------------------------------
+#
+# A rigid map moves a cell's points together, so the image cell is the
+# cell holding the image of the centre: the map at a point, no integer map.
+
+
+def image(cells, side, k, cell):
+    """The cell that edge k of a side sends cell to.  `cells` is a cell
+    decomposition: its graphings gs, grid n and coordinate count N."""
+    blk, cube = cell
+    n = cells.n
+    centre = {c + 1: Fraction(2 * j + 1, 2 * n) for c, j in enumerate(cube)}
+    x, out = ref_apply_point(cells.gs[side].edges[k].mapd, blk + Fraction(1, 2), centre)
+    return (x.numerator // x.denominator,
+            tuple(int(out.get(c + 1, 0) * n) for c in range(cells.N)))
+
+
 # -- flagged circuits over the full product ----------------------------------
 #
 # Nodes are (cell, state of f, state of g, side to fire) over every dialect
@@ -239,15 +256,15 @@ def ref_edges_from(cells, side, state, cell, lists=None):
 
 def ref_flagged_circuit(cells, f, g):
     """Does some alternating circuit of f and g carry a flag?  `cells` is a
-    cell decomposition of [f, g]: source_cells(side, k) and image(side, k,
-    cell) give each edge's arrows."""
+    cell decomposition of [f, g]: source_cells(side, k) and `image` give
+    each edge's arrows."""
     sides = (f, g)
     adj = {}
     flagged = []
     for side in (0, 1):
         for k, e in enumerate(sides[side].edges):
             for cell in cells.source_cells(side, k):
-                dst = cells.image(side, k, cell)
+                dst = image(cells, side, k, cell)
                 for s in range(sides[1 - side].dialect_size):
                     if side == 0:
                         u, v = (cell, e.in_state, s, 0), (dst, e.out_state, s, 1)
@@ -280,7 +297,7 @@ def ref_flagged_circuit(cells, f, g):
 def ref_first_live_rotation(cells, canon):
     """The first rotation of canon that some cell walks, with its start map
     {start cell: end cell}, or None when no rotation is live.  `cells` is a
-    cell decomposition: source_cells(side, k) and image(side, k, cell)."""
+    cell decomposition: source_cells(side, k), read with `image`."""
     sources = {lab: set(cells.source_cells(*lab)) for lab in set(canon)}
     for i in range(len(canon)):
         rot = canon[i:] + canon[:i]
@@ -290,7 +307,7 @@ def ref_first_live_rotation(cells, canon):
             for side, k in rot:
                 if end not in sources[side, k]:
                     break
-                end = cells.image(side, k, end)
+                end = image(cells, side, k, end)
             else:
                 starts[cell] = end
         if starts:

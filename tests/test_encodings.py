@@ -46,6 +46,15 @@ def test_encoded_machine_shape(parity, zeros_ones):
     assert z.head_bound == 2
 
 
+def test_compiled_edges_share_one_descriptor_per_map(parity, zeros_ones):
+    # a map is (block offset, coordinate swapped with 1); the edges that
+    # take the same one hold the same descriptor object
+    for a, count in ((parity, 7), (zeros_ones, 19)):
+        edges = automaton_to_machine(a).graphing.edges
+        maps = {(e.mapd.offset, e.mapd.perm(1)) for e in edges}
+        assert len({id(e.mapd) for e in edges}) == len(maps) == count
+
+
 def test_encoding_preserves_verdicts(parity):
     m = automaton_to_machine(parity)
     assert language_m(m, 3) == language_a(parity, 3)

@@ -22,7 +22,7 @@ from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
 from conftest import line_edge, odometer, random_rigid_pair, seg
-from oracles import (brute_paths, brute_plug, ref_arrows, ref_cells,
+from oracles import (brute_paths, brute_plug, image, ref_arrows, ref_cells,
                      ref_edges_from, ref_source_lists)
 
 
@@ -361,9 +361,41 @@ def test_cell_decompose_word_graphing():
         srcs = ref_cells(e.source, cg.n, cg.N)
         assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
-            img = cg.image(0, j, c)
+            img = image(cg, 0, j, c)
             assert (j, [cg.cell_box(img)]) in cg.arrows(0, None, cg.cell_box(c))
             assert img != c or e.mapd.is_identity()
+
+
+def test_cell_decompose_reads_each_distinct_source_once(monkeypatch):
+    m = automaton_to_machine(zeros_ones_automaton())
+    rep = representation("0011")
+    cut = DEFAULT_PSI.interface_mset()
+    calls = []
+    real = CellGraph.grid_boxes
+    monkeypatch.setattr(CellGraph, "grid_boxes",
+                        lambda self, s, *a: calls.append(s) or real(self, s, *a))
+    cg = cell_decompose([m.graphing, rep], [cut])
+    # the machine's 350 edges read 8 blocks; promote builds one source per
+    # word edge; and the cut is read once
+    sources = {id(e.source) for h in (m.graphing, rep) for e in h.edges}
+    assert len(calls) == len(sources) + 1 == 8 + 10 + 1
+    assert cg.extra == [real(cg, cut)]
+
+
+def test_cell_graph_of_a_json_copy_shares_nothing_and_matches():
+    m = automaton_to_machine(zeros_ones_automaton())
+    copy = GraphingRep.from_json(m.graphing.to_json())
+    # the compiled edges share their 19 maps and 8 sources; the copy
+    # builds one object per edge, and so reads every edge on its own
+    assert [len({id(x) for x in xs}) for xs in
+            ([e.mapd for e in m.graphing.edges], [e.source for e in m.graphing.edges],
+             [e.mapd for e in copy.edges], [e.source for e in copy.edges])] == [19, 8, 350, 350]
+    rep = representation("0110")
+    cut = DEFAULT_PSI.interface_mset()
+    shared, apart = (cell_decompose([h, rep], [cut]) for h in (m.graphing, copy))
+    assert (shared.n, shared.N, shared._edges, shared.steps, shared.extra) == \
+        (apart.n, apart.N, apart._edges, apart.steps, apart.extra)
+    assert plug(m.graphing, rep, cut).to_json() == plug(copy, rep, cut).to_json()
 
 
 def test_any_state_index_and_successors_chain():
@@ -391,7 +423,7 @@ def test_any_state_index_and_successors_chain():
                         [k for k in live if h.edges[k].in_state == state]
                     for k, e, (nst, turn), moved in arrows:
                         assert e is h.edges[k] and e.in_state == state
-                        assert moved == [cg.cell_box(cg.image(side, k, cell))]
+                        assert moved == [cg.cell_box(image(cg, side, k, cell))]
                         assert turn == 1 - side
                         assert nst[side] == (now[0], e.out_state)
                         assert nst[1 - side] == idle
@@ -403,7 +435,7 @@ def test_any_state_index_and_successors_chain():
                 for cell in cells:
                     for k, src in enumerate(sources):
                         if cell in src and state in (None, h.edges[k].in_state):
-                            want.setdefault(k, []).append(cg.image(side, k, cell))
+                            want.setdefault(k, []).append(image(cg, side, k, cell))
                 assert got == {k: sorted(v) for k, v in want.items()}
                 assert list(got) == sorted(want)
 
@@ -575,7 +607,7 @@ def test_image_matches_the_rational_map():
         for side, h in enumerate((f, g)):
             for k, e in enumerate(h.edges):
                 for cell in cg.source_cells(side, k):
-                    assert cg.cell_mset(cg.image(side, k, cell)) == \
+                    assert cg.cell_mset(image(cg, side, k, cell)) == \
                         e.mapd.apply_mset(cg.cell_mset(cell)), (side, k, cell)
                     checked += 1
     assert checked > 10_000
@@ -605,7 +637,7 @@ def test_integer_maps_match_the_descriptors():
             cell = (rng.randrange(4), tuple(rng.randrange(cg.n) for _ in range(cg.N)))
             end = cell
             for side, k in seq:
-                end = cg.image(side, k, end)
+                end = image(cg, side, k, end)
             offset, moves = imap
             assert end == (cell[0] + offset,
                            tuple((cell[1][j] + s) % cg.n for j, s in moves)), (i, seq)

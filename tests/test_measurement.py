@@ -8,13 +8,13 @@ import time
 import pytest
 
 from gmachines import measurement
-from gmachines.automata import parity_automaton
+from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded
 from gmachines.execution import cell_decompose
 from gmachines.graphings import (Edge, GraphingRep, Project, Weight,
                                  rename_dialect)
-from gmachines.machines import compute
+from gmachines.machines import accepts, compute
 from gmachines.measurement import (INF, SymValue, circuits,
                                    decide_against_test, measure_graphings,
                                    measure_projects, orthogonal, t_minus)
@@ -23,8 +23,8 @@ from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
 from conftest import line_edge, random_rigid_pair, seg
-from oracles import (ref_compose, ref_first_live_rotation, ref_flagged_circuit,
-                     ref_series)
+from oracles import (image, ref_compose, ref_edges_from, ref_first_live_rotation,
+                     ref_flagged_circuit, ref_series, ref_source_lists)
 
 
 def _loop(a=1, flag=1, shifts=None, block=(0, 1)):
@@ -278,6 +278,69 @@ def test_exact_search_matches_unpruned_reference():
     # entered or only left, which the search never carries
     assert min(verdicts.values()) >= 40, verdicts
     assert one_way_states >= 150, one_way_states
+
+
+def _live(h):
+    return {e.in_state for e in h.edges} & {e.out_state for e in h.edges}
+
+
+def _record_roots(monkeypatch):
+    """The roots of every exact circuit search, one list per search."""
+    roots = []
+    real = measurement._scc
+
+    def scc(rs, successors):
+        roots.append(list(rs))
+        return real(roots[-1], successors)
+
+    monkeypatch.setattr(measurement, "_scc", scc)
+    return roots
+
+
+def test_flagged_search_roots_where_the_other_side_fires(monkeypatch):
+    # sources one column or one block wide on a 3 x 3 grid and three
+    # dialect states: a flagged edge's image often meets the other side's
+    # sources in part, and from some idle states only.  The roots must be
+    # exactly the flagged targets that have a successor, read off the
+    # reference arrows; the verdict must match the unpruned reference
+    roots = _record_roots(monkeypatch)
+    rng = random.Random(2109)
+    verdicts = {True: 0, False: 0}
+    partial = 0
+    for i in range(150):
+        f, g = random_rigid_pair(rng, edges_each=(6, 8)[i % 2], dialect=3, flag_rate=0.5)
+        cg = cell_decompose([f, g])
+        want = set()
+        for side, h in enumerate((f, g)):
+            other = (f, g)[1 - side]
+            lists = ref_source_lists(cg, 1 - side)
+            for k, e in enumerate(h.edges):
+                if not e.weight.flag:
+                    continue
+                dsts = [image(cg, side, k, c) for c in cg.source_cells(side, k)]
+                fire = {(dst, idle) for dst in dsts for idle in _live(other)
+                        if ref_edges_from(cg, 1 - side, idle, dst, lists)}
+                if e.out_state in _live(h):
+                    want |= {(dst, 1 - side, idle, e.out_state) for dst, idle in fire}
+                    # some image cells and some idle states fire, not all
+                    partial += 0 < len(fire) < len(dsts) * len(_live(other))
+        roots.clear()
+        ref = ref_flagged_circuit(cg, f, g)
+        assert (measure_graphings(f, g) is INF) == ref, i
+        assert set(roots[0] if roots else ()) == want, i
+        verdicts[ref] += 1
+    assert min(verdicts.values()) >= 30, (verdicts, partial)
+    assert partial >= 400, (verdicts, partial)
+
+
+def test_long_decide_roots_a_handful(monkeypatch):
+    # the answer test's flagged identity covers the reject block, 257^2
+    # cells at 256 letters, but the composite fires from one of them
+    monkeypatch.setenv("GM_MAX_PATH_LEN", str(10**9))
+    roots = _record_roots(monkeypatch)
+    m = automaton_to_machine(zeros_ones_automaton())
+    assert accepts(m, "0" * 128 + "1" * 128)
+    assert sum(map(len, roots)) <= 4, [len(r) for r in roots]
 
 
 def test_symmetry_on_random_instances():

@@ -190,3 +190,14 @@ def test_multiplicity_matches_oracle_cover_counts(fs, gs, how):
                  for s in fs if not s.is_empty())
     assert equivalent(_graphing(fs), _graphing(gs)) == same
     assert refines(_graphing(fs), _graphing(gs)) == (same and inside)
+
+
+def test_sets_on_1200_coordinates_normalise():
+    # the sweep walks its axes on a stack of its own, one frame per
+    # constrained coordinate, so no depth limit of the interpreter applies
+    half = {c: Interval(0, Fraction(1, 2)) for c in range(1, 1201)}
+    a = MSet([Box(Interval(0, 2), half)])
+    b = MSet([Box(Interval(1, 3), half)])
+    assert union(a, b) == MSet([Box(Interval(0, 3), half)])
+    assert difference(a, b) == MSet([Box(Interval(0, 1), half)])
+    assert measure(union(a, b)) == 3 * Fraction(1, 2) ** 1200
