@@ -85,10 +85,6 @@ def _count(text: str) -> int:
     return n
 
 
-def _show(w: str) -> str:
-    return w if w else "(empty)"
-
-
 def cmd_decide(args) -> int:
     machine = args.machine or args.machine_pos
     word = args.word if args.word is not None else args.word_pos
@@ -116,19 +112,26 @@ def cmd_extract(args) -> int:
     return _emit(a.to_json(), args.output)
 
 
+def _agreement(header: str, rows) -> int:
+    """Print header, then one row per (word, verdict, verdict) with whether
+    the two agree; the number of disagreements."""
+    bad = 0
+    print(header)
+    for w, av, bv in rows:
+        ok = av == bv
+        bad += not ok
+        print(f"{w or '(empty)'} {'pass' if av else 'fail'} "
+              f"{'pass' if bv else 'fail'} {'yes' if ok else 'NO'}")
+    return bad
+
+
 def cmd_compare(args) -> int:
     a = _load_automaton(args.automaton)
     m = encodings.automaton_to_machine(a, PSIS[args.psi])
 
     rows = [(w, automata.co_accepts(a, w), machines.accepts(m, w))
             for w in _words_upto(args.max_len)]
-    bad = 0
-    print("word automaton machine agree")
-    for w, av, mv in rows:
-        ok = av == mv
-        bad += not ok
-        print(f"{_show(w)} {'pass' if av else 'fail'} "
-              f"{'pass' if mv else 'fail'} {'yes' if ok else 'NO'}")
+    bad = _agreement("word automaton machine agree", rows)
     print(f"{len(rows)} words, {bad} disagreements")
     return 1 if bad else 0
 
@@ -140,13 +143,7 @@ def cmd_roundtrip(args) -> int:
 
     rows = [(w, automata.co_accepts(a, w), automata.co_accepts(b, w))
             for w in _words_upto(args.max_len)]
-    bad = 0
-    print("word original extracted agree")
-    for w, av, bv in rows:
-        ok = av == bv
-        bad += not ok
-        print(f"{_show(w)} {'pass' if av else 'fail'} "
-              f"{'pass' if bv else 'fail'} {'yes' if ok else 'NO'}")
+    bad = _agreement("word original extracted agree", rows)
     if bad:
         print(f"language mismatch on {bad} of {len(rows)} words")
         return 1

@@ -29,7 +29,7 @@ from math import factorial
 from .automata import (HALTING, IN, MARKER, MultiheadAutomaton, OUT,
                        Transition, successors)
 from .errors import MalformedHalt, NotEssential
-from .execution import FREE, cell_decompose, walk_counts
+from .execution import cell_decompose, walk_counts
 from .graphings import Edge, GraphingRep, ONE
 from .machines import Machine, _is_star
 from .microcosm import Perm, TransformationDescriptor
@@ -48,7 +48,7 @@ def _flip(d: str) -> str:
 
 
 def _bump(sig: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Left-compose a head arrangement with the (1 j) coordinate swap."""
+    """A head arrangement with the (1 j) coordinate swap applied on the left."""
     return tuple(1 if c == j else (j if c == 1 else c) for c in sig)
 
 
@@ -277,15 +277,15 @@ def machine_to_automaton(m: Machine, mode: str = "preamble") -> MultiheadAutomat
 
     anchor_from("init")
 
-    # Excursion steps (read at coordinate 1, swap, second swap, in state,
+    # Excursions (read at coordinate 1, swap, second swap, in state,
     # target key, answer state, out state): each mid edge, with no second
     # swap and no answer state, and each landing with each departure after it.
-    steps = [(src[0], j, 1, q0, tgt, None, q2)
-             for (src, tgt, j, q0, q2) in mids]
-    steps += [(lsrc[0], j1, j2, q0, tgt, qr, q2)
-              for (lsrc, _, j1, q0, qr) in landings
-              for (_, tgt, j2, _, q2) in departures_of(qr)]
-    for (s, j1, j2, q0, (s2, d2), qr, q2) in steps:
+    excursions = [(src[0], j, 1, q0, tgt, None, q2)
+                  for (src, tgt, j, q0, q2) in mids]
+    excursions += [(lsrc[0], j1, j2, q0, tgt, qr, q2)
+                   for (lsrc, _, j1, q0, qr) in landings
+                   for (_, tgt, j2, _, q2) in departures_of(qr)]
+    for (s, j1, j2, q0, (s2, d2), qr, q2) in excursions:
         for sig in sigmas:
             sig2 = _bump(_bump(sig, j1), j2)
             h1 = sig.index(1) + 1
@@ -351,19 +351,17 @@ def _run_to_path(tr, root, cg, prov, init_tag: int):
     cell = root
     tag = init_tag
     for step, t in enumerate(tr):
-        hits = [(j, img) for j, img in cg.arrows(0, tag, cg.cell_box(cell)) if prov[j] == t]
+        hits = [hit for hit in cg.fire(0, tag, cell) if prov[hit[0]] == t]
         if len(hits) != 1:
             return None, f"step {step + 1}: {len(hits)} machine edges chain"
-        ((j, img),) = hits
+        ((j, tag, cell),) = hits
         path.append((0, j))
-        cell = cg.box_cell(img)
-        tag = cg.edge(0, j).out_state
         if step + 1 < len(tr):
-            hops = cg.arrows(1, 0, cg.cell_box(cell))
+            hops = cg.fire(1, 0, cell)
             if len(hops) != 1:
                 return None, f"step {step + 1}: {len(hops)} word moves at {cell}"
-            path.append((1, hops[0][0]))
-            cell = cg.box_cell(hops[0][1])
+            ((k, _out, cell),) = hops
+            path.append((1, k))
     return tuple(path), ""
 
 
@@ -416,8 +414,7 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
             seen[path] = tr
             mapped[len(tr)] = mapped.get(len(tr), 0) + 1
         # the machine side fires first, from the root
-        seeds = ((node, boxes) for _k, _e, node, boxes
-                 in cg.successors((FREE, 0), [cg.cell_box(root)]))
+        seeds = (walk for _k, walk in cg.extend(cg.root(root, 0)))
         by_len = walk_counts(cg, seeds, 2 * max_steps - 1)
         paths = {(ln + 1) // 2: c for ln, c in by_len.items() if ln % 2}
         for i in range(1, max_steps + 1):

@@ -26,22 +26,24 @@ side has not fired.  Rigid maps act on cells as a group, so a walk's
 node, map and weight depend only on its labels: the walks sharing them
 move as one group, carried as a list of disjoint grid boxes (a run of
 blocks and one range of grid indices per coordinate) holding the cells
-they are at.  A walk carries its map as grid integers
-(`CellGraph.compose`) and its weight as dilation and flag; the cell a
-walk started from is the inverse map of where it is, so start cells are
-listed, and a descriptor built, only when a result is read out
+they are at.  A walk is (node, integer map, dilation, flag, grid boxes);
+the cell a walk started from is the inverse map of where it is, so start
+cells are listed, and a descriptor built, only when a result is read out
 (`CellGraph.walks`, `CellGraph.descriptor`).  Every distinct set the
 walk reads, an edge's source or the cut, is read once into grid boxes
 (`CellGraph.grid_boxes`), and every distinct map once into integers, so
 a group meets a source or the cut by range arithmetic (`_meet`,
 `_split`) and nothing is listed cell by cell.
-`_chain` fires an edge on the pair, and is also the exact engine's
-dialect bookkeeping.  `seeds` fires every edge from the free pair on its
-source boxes less the cut; `successors` lets the side whose turn it is
-fire an edge chaining at its out-state, or any edge while still free.
-Which edges fire on a box, and the boxes they send it to, is asked of
-`CellGraph.arrows` alone; the circuit search and the run-to-path map ask
-it of one-cell boxes, and the circuit search roots itself at the cells
+How a walk takes an edge is decided in one place, `CellGraph.extend`: it
+chains the dialect pair (`_chain`, also the exact engine's dialect
+bookkeeping), composes the integer map, multiplies the dilation and ORs
+the flag.  `CellGraph.seeds` fires every edge from the free pair on its
+source boxes less the cut, and `CellGraph.root` is the walk of no edges
+at one cell.  A search that follows single cells, as the circuit search
+and the run-to-path map do, asks `CellGraph.fire` for the edges firing
+at a cell, their out-states and the cells they land on.  Which edges fire
+on a box, and the boxes they send it to, is asked of `CellGraph.arrows`
+alone, and the circuit search roots itself at the cells
 `CellGraph.landings` gives, where a flagged edge lands and the other side
 fires next.  The budget counts cells fired, a box's volume, so it does
 not depend on how the cells are boxed.  Plugging, `walk_counts`,
@@ -238,23 +240,26 @@ class CellGraph:
     edge's source or a set in extra such as the cut, is read once into
     grid boxes (`grid_boxes`), the sets in extra kept as `extra`.  Arrows
     are computed on demand: the graph only stores, per edge, its source
-    boxes and its map as integers, (block offset, moves), the moves giving
+    boxes, its map as integers, (block offset, moves), the moves giving
     per coordinate of the image the coordinate it reads and the grid steps
-    it shifts by.  Edges that share a source set or a descriptor object
-    share these: each distinct one is checked for rigidity, read for the
-    grid and the bound, and turned into boxes or integers once.  A rigid
-    map sends a box to at most 2^N boxes: the moves reorder the ranges and
-    a shift splits a range at most once, at the wrap (`images`).  Walks
-    compose these integer maps (`compose`); a group's start cells are the
-    inverse map of its boxes (`walks`), and a map becomes a descriptor
-    only to read a result out (`descriptor`, once per map); `steps` holds
-    each edge's map with its dilation and flag.  `arrows` is the one place
-    that tries edges on a box: it returns the edges firing there with the
-    boxes they send it to, found by slab lookup (`_listed`); `landings`
-    asks the same lookup where an edge's image meets the other side's
-    sources.  Per side, block and in-state (and under in-state None for a
-    side that may bind any), coordinate 1 is cut at every endpoint of the
-    source boxes there, each slab listing the source boxes covering it
+    it shifts by, and its dilation and flag.  Edges that share a source
+    set or a descriptor object share these: each distinct one is checked
+    for rigidity, read for the grid and the bound, and turned into boxes
+    or integers once.  A rigid map sends a box to at most 2^N boxes: the
+    moves reorder the ranges and a shift splits a range at most once, at
+    the wrap (`images`).  A walk is (node, integer map, dilation, flag,
+    grid boxes); `seeds` starts one per edge, `root` one at a cell, and
+    `extend` takes a walk one edge further, composing that edge's integer
+    map, dilation and flag onto it; `fire` takes a single cell one edge
+    further.  A group's start cells are the inverse map of its boxes
+    (`walks`), and a map becomes a descriptor only to read a result out
+    (`descriptor`, once per map).  `arrows` is the one place that tries
+    edges on a box: it returns the edges firing there with the boxes they
+    send it to, found by slab lookup (`_listed`); `landings` asks the
+    same lookup where an edge's image meets the other side's sources.
+    Per side, block and in-state (and under in-state None for a side that
+    may bind any), coordinate 1 is cut at every endpoint of the source
+    boxes there, each slab listing the source boxes covering it
     (`_slab_table`, built on first use); only the source boxes listed on
     the slabs a box meets are intersected with it.  A firing counts the
     cells it carries, the volume of its boxes (`cell_count`), so the
@@ -294,12 +299,11 @@ class CellGraph:
         self.N = bound
         # the grid boxes of each set in extra
         self.extra = [self.grid_boxes(m, "extra set") for m in extra]
-        # per side and edge: (source boxes, (block offset, moves)), where
-        # moves[i] = (j, s) puts cube[j] + s (mod n) at coordinate i + 1
+        # per side and edge, what a walk takes on when the edge fires:
+        # (source boxes, integer map, dilation, flag), the map as (block
+        # offset, moves), where moves[i] = (j, s) puts cube[j] + s (mod n)
+        # at coordinate i + 1, and the dilation the int 1 when it is one
         self._edges: list[list[tuple]] = []
-        # per side and edge, what a walk takes on when the edge fires: that
-        # integer map, its dilation (the int 1 when it is one) and its flag
-        self.steps: list[list[tuple]] = []
         # integer map -> its descriptor, built when a walk's result is read
         self._descs: dict[tuple, TransformationDescriptor] = {}
         # (side, in-state, block) -> ((edge, source box), coordinate-1
@@ -325,13 +329,10 @@ class CellGraph:
         sources = {i: self.grid_boxes(m, "edge source") for i, m in sets.items()}
         for side, g in enumerate(self.gs):
             rules = []
-            steps = []
             for k, e in enumerate(g.edges):
                 boxes = sources[id(e.source)]
-                imap = imaps[id(e.mapd)]
-                rules.append((boxes, imap))
                 a = e.weight.a
-                steps.append((imap, 1 if a == 1 else a, e.weight.flag))
+                rules.append((boxes, imaps[id(e.mapd)], 1 if a == 1 else a, e.weight.flag))
                 for box in boxes:
                     lo, hi, ranges = box
                     span = ((k, box), *(ranges[0] if ranges else self._whole))
@@ -339,7 +340,6 @@ class CellGraph:
                         for state in (e.in_state, None):
                             self._spans.setdefault((side, state, blk), []).append(span)
             self._edges.append(rules)
-            self.steps.append(steps)
 
     # -- geometry of cells -------------------------------------------------
 
@@ -375,19 +375,6 @@ class CellGraph:
 
     def cell_volume(self) -> Fraction:
         return Fraction(1, self.n) ** self.N
-
-    @staticmethod
-    def cell_box(cell: Cell) -> GridBox:
-        """The grid box holding one cell."""
-        blk, cube = cell
-        return blk, blk + 1, tuple([(x, x + 1) for x in cube])
-
-    @staticmethod
-    def box_cell(boxes: list) -> Cell:
-        """The cell of a list holding one one-cell box, the image of a
-        one-cell box."""
-        ((blk, _hi, ranges),) = boxes
-        return blk, tuple([x for x, _z in ranges])
 
     # -- arrows ------------------------------------------------------------
 
@@ -440,12 +427,6 @@ class CellGraph:
                 for blk in range(lo, hi):
                     out[blk - offset, start] = (blk, cube)
         return out
-
-    def compose(self, a: tuple, b: tuple) -> tuple:
-        """Integer map a after b."""
-        bm = b[1]
-        n = self.n
-        return a[0] + b[0], tuple([(bm[j][0], (bm[j][1] + s) % n) for j, s in a[1]])
 
     def descriptor(self, imap: tuple) -> TransformationDescriptor:
         """The descriptor of an integer map, built once per map: image
@@ -501,25 +482,38 @@ class CellGraph:
         """{start cell: cell} over the cells edge k of one side sends into a
         source of the other side's edges of in-state state: the cells where
         the other side can fire next from that state."""
-        boxes, imap = self._edges[side][k]
+        boxes, imap, _a, _flag = self._edges[side][k]
         return self.walks(imap, [piece for b in boxes for img in self.images(imap, b)
                                  for _j, src in self._listed(1 - side, state, img)
                                  if (piece := _meet(img, src)) is not None])
 
+    # -- walks: (node, integer map, dilation, flag, grid boxes) ------------
+
+    def root(self, cell: Cell, turn: int) -> tuple:
+        """The walk of no edges at one cell, side turn to fire first."""
+        blk, cube = cell
+        return ((FREE, turn), (0, tuple([(c, 0) for c in range(self.N)])), 1, 0,
+                [(blk, blk + 1, tuple([(x, x + 1) for x in cube]))])
+
     def seeds(self, cut=()):
         """Every edge fired from the free pair on its source boxes less
-        the cut, given as grid boxes: (side, k, node, boxes reached)."""
+        the cut, given as grid boxes: (side, k, the walk it starts)."""
         for side, g in enumerate(self.gs):
             for k, e in enumerate(g.edges):
-                boxes, imap = self._edges[side][k]
+                boxes, imap, a, flag = self._edges[side][k]
                 _in, boxes = _split(boxes, cut)
                 if boxes:
-                    yield side, k, (_chain(FREE, side, e), 1 - side), \
-                        [img for b in boxes for img in self.images(imap, b)]
+                    yield side, k, ((_chain(FREE, side, e), 1 - side), imap, a, flag,
+                                    [img for b in boxes for img in self.images(imap, b)])
 
-    def successors(self, node, boxes: list):
-        """Edges firing from a node on a group's disjoint boxes, in order,
-        as (k, edge, next node, the boxes the walks they fire on reach)."""
+    def extend(self, walk):
+        """The walks one more edge takes a walk to, in edge order, as (k,
+        walk): the side to fire fires every edge chaining at its
+        out-state, or any edge while still free, on the walk's boxes.  The
+        new walk chains the dialect pair, composes the edge's integer map
+        after the walk's, multiplies in its dilation unless that is 1 and
+        ORs in its flag."""
+        node, (offset, bm), a, flag, boxes = walk
         st, turn = node
         state = st[turn][1]
         if len(boxes) == 1:
@@ -534,12 +528,25 @@ class CellGraph:
                         moved[k] = imgs
             fired = sorted(moved.items())
         edges = self.gs[turn].edges
+        rules = self._edges[turn]
+        n = self.n
         for k, imgs in fired:
-            e = edges[k]
-            yield k, e, (_chain(st, turn, e), 1 - turn), imgs
+            _src, (eoff, emoves), dil, eflag = rules[k]
+            yield k, ((_chain(st, turn, edges[k]), 1 - turn),
+                      (eoff + offset, tuple([(bm[j][0], (bm[j][1] + s) % n) for j, s in emoves])),
+                      a if dil == 1 else a * dil, flag | eflag, imgs)
 
-    def edge(self, side: int, k: int) -> Edge:
-        return self.gs[side].edges[k]
+    def fire(self, side: int, state: int | None, cell: Cell) -> list[tuple[int, int, Cell]]:
+        """The edges of one side firing at a cell from a dialect state, in
+        order, as (k, out-state, image cell); state None admits every
+        in-state.  A shift moves a one-cell box without wrapping it, so
+        each edge sends the cell to one box."""
+        blk, cube = cell
+        edges = self.gs[side].edges
+        return [(k, edges[k].out_state, (img[0], tuple([x for x, _z in img[2]])))
+                for k, (img,) in self.arrows(side, state,
+                                              (blk, blk + 1, tuple([(x, x + 1) for x in cube])))]
+
 
 def cell_decompose(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> CellGraph:
     """Cell structure of the given graphings, and of the sets in extra, at
@@ -592,7 +599,7 @@ def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
                 max_len: int | None, budget: int):
     """Breadth-first search of the exact alternating paths of f and g.
 
-    It walks like `CellGraph.successors`, on rational sets in place of
+    It walks like `CellGraph.extend`, on rational sets in place of
     cells.  A queue entry is a fired path: the set it carries to the side
     that fires next, with its dialect pair, composed map, weight, sides and
     edges.  The seeds are one entry per side, holding that side's sources
@@ -687,9 +694,7 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
 def _plug_cells(cg: CellGraph, cap, max_len):
     """Breadth-first search of the product graph from every seed outside
     the cut, the one extra set of cg; a walk becomes a composite edge
-    where it leaves the cut.  A
-    group carries its cells as grid boxes, its map as integers and its
-    weight as dilation and flag.  Boxes are deduplicated per (node, map,
+    where it leaves the cut.  Boxes are deduplicated per (node, map,
     weight) against the boxes already reached there, and split at the cut;
     exit boxes become start cells, and each distinct map a descriptor,
     only when results are read."""
@@ -703,8 +708,9 @@ def _plug_cells(cg: CellGraph, cap, max_len):
     # (node, map, dilation, flag) -> the disjoint boxes reached there
     seen: dict = {}
 
-    def reach(node, imap, a, flag, reached, length):
+    def reach(walk, length):
         nonlocal fires
+        node, imap, a, flag, reached = walk
         fires += cell_count(reached)
         if fires > budget:
             raise NonTerminating(
@@ -720,23 +726,20 @@ def _plug_cells(cg: CellGraph, cap, max_len):
         if outside:
             results.setdefault((node[0], imap, a, flag), []).extend(outside)
         if inside:
-            queue.append((node, imap, a, flag, inside, length))
+            queue.append(((node, imap, a, flag, inside), length))
 
-    for side, k, node, reached in cg.seeds(boxes):
+    for _side, _k, walk in cg.seeds(boxes):
         if max_len == 0:
             # a seed is an arrow that would make a path of length 1
             return [], True
-        reach(node, *cg.steps[side][k], reached, 1)
+        reach(walk, 1)
     while queue:
-        node, imap, a, flag, reached, length = queue.popleft()
+        walk, length = queue.popleft()
         if max_len is not None and length >= max_len:
             truncated = True
             continue
-        fire = cg.steps[node[1]]
-        for k, _e, nxt, moved in cg.successors(node, reached):
-            emap, dil, eflag = fire[k]
-            reach(nxt, cg.compose(emap, imap), a if dil == 1 else a * dil,
-                  flag | eflag, moved, length + 1)
+        for _k, nxt in cg.extend(walk):
+            reach(nxt, length + 1)
     found = {(start, st, imap, a, flag): None
              for (st, imap, a, flag), exits in results.items()
              for start in cg.walks(imap, exits)}
@@ -821,18 +824,18 @@ def plug_projects(p: Project, q: Project, cut: MSet, cap: int | None = None) -> 
     return Project(wrapper + cross, terms)
 
 
-def walk_counts(cg: CellGraph, seeds: Iterable, max_len: int) -> dict[int, int]:
-    """Number of product walks per length up to max_len, from seed groups
-    (node, grid boxes) of length-one walks: the cells the groups hold."""
-    frontier = list(seeds)
+def walk_counts(cg: CellGraph, walks: Iterable, max_len: int) -> dict[int, int]:
+    """Number of product walks per length up to max_len, from walks of
+    length one (`CellGraph.seeds`, `CellGraph.extend`): the cells they
+    hold."""
+    frontier = list(walks)
     counts: dict[int, int] = {}
     for length in range(1, max_len + 1):
         if not frontier:
             break
-        counts[length] = sum(cell_count(boxes) for _node, boxes in frontier)
+        counts[length] = sum(cell_count(walk[4]) for walk in frontier)
         if length < max_len:
-            frontier = [(nxt, moved) for node, boxes in frontier
-                        for _k, _e, nxt, moved in cg.successors(node, boxes)]
+            frontier = [nxt for walk in frontier for _k, nxt in cg.extend(walk)]
     return counts
 
 
@@ -840,4 +843,4 @@ def cell_path_counts(f: GraphingRep, g: GraphingRep, max_len: int) -> dict[int, 
     """Number of cell-level alternating walks per length; the cell shadow
     of alternating_paths for rigid inputs."""
     cg = cell_decompose([f, g])
-    return walk_counts(cg, ((node, boxes) for *_, node, boxes in cg.seeds()), max_len)
+    return walk_counts(cg, (walk for _side, _k, walk in cg.seeds()), max_len)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IterationCapExceeded, SupportMismatch
-from .execution import Cell, cell_count, cell_decompose, expansion_cap
+from .execution import Cell, CellGraph, cell_count, cell_decompose, expansion_cap
 from .graphings import Edge, GraphingRep, Project, SymValue, Weight
 from .microcosm import TransformationDescriptor
 from .space import equal_ae
@@ -81,10 +81,11 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     through a flagged arrow in the finite graph on (cell, side to fire,
     state of either side).  The idle side's state stays put; on a circuit
     an arrow of that side entered it and another will leave it, so only
-    live states are carried.  A flagged arrow u -> v lies on a cycle
-    exactly when v reaches u, so one Tarjan pass from the flagged targets
-    decides, expanding only what they reach; the budget counts the arcs
-    it expands.
+    live states are carried.  The arcs leaving a node are the edges
+    firing at its cell (`CellGraph.fire`).  A flagged arrow u -> v lies on
+    a cycle exactly when v reaches u, so one Tarjan pass from the flagged
+    targets decides, expanding only what they reach; the budget counts
+    the arcs it expands.
 
     A target is a root only where it has a successor: every successor of
     v fires on the other side, from the idle state, so v is taken only at
@@ -104,17 +105,17 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     arcs = 0
 
     # a node is (cell, side to fire, that side's state, the idle side's
-    # state); arrows are asked of the cell's one-cell box
+    # state)
     def successors(node):
         nonlocal arcs
         cell, turn, state, idle = node
         if idle in live[1 - turn]:
-            for k, img in cg.arrows(turn, state, cg.cell_box(cell)):
+            for _k, out, img in cg.fire(turn, state, cell):
                 arcs += 1
                 if arcs > budget:
                     raise IterationCapExceeded(
                         f"circuit search grew past {budget} arrows")
-                yield cg.box_cell(img), 1 - turn, idle, cg.edge(turn, k).out_state
+                yield img, 1 - turn, idle, out
 
     flagged = [((start, side, e.in_state, idle), (cell, 1 - side, idle, e.out_state))
                for side, h in enumerate((f, g))
@@ -247,28 +248,31 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     Enumeration is complete below max_len; powers of the returned
     circuits are the remaining ones below that length.  Each circuit
     comes as the first rotation, from its least one on, that some cell
-    walks, with that rotation's orbits.  One DFS over label sequences
-    reads it all off: each carries its composed map as grid integers, its
+    walks, with that rotation's orbits.
+    """
+    return _circuits(cell_decompose([f, g]), max_len, expansion_cap(cap))
+
+
+def _circuits(cg: CellGraph, max_len: int, budget: int) -> list[Circuit]:
+    """`circuits` on the cell graph of the pair.  One DFS over label
+    sequences reads it all off: each is a walk (`CellGraph.seeds`,
+    `CellGraph.extend`), carrying its composed map as grid integers, its
     dilation and flag, and the grid boxes its walks are at; the budget
     counts the cells they hold.  The walks of the first live rotation are
     its start map, read off its boxes through the inverse map
     (`CellGraph.walks`).  The map becomes a descriptor, and the weight a
-    Weight, only for the circuits returned.
-    """
-    cg = cell_decompose([f, g])
-    budget = expansion_cap(cap)
+    Weight, only for the circuits returned."""
     # least canon -> (offset, integer map, dilation, flag, boxes reached)
-    # of its first rotation that some cell walks
+    # of its first rotation that some cell walks; keeping the walk, node
+    # and all, ran half again as many garbage collections per search
     found: dict[tuple, tuple] = {}
-    steps = 0
-    # depth-first over label sequences, each carrying its composed integer
-    # map, dilation, flag and the grid boxes its walks are at
-    stack = [(((side, k),), node, *cg.steps[side][k], boxes)
-             for side, k, node, boxes in cg.seeds()]
+    held = 0
+    stack = [(((side, k),), walk) for side, k, walk in cg.seeds()]
     while stack:
-        labels, node, imap, a, flag, boxes = stack.pop()
-        steps += cell_count(boxes)
-        if steps > budget:
+        labels, walk = stack.pop()
+        node, imap, a, flag, boxes = walk
+        held += cell_count(boxes)
+        if held > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
         ((ff, of), (fg, og)), turn = node
@@ -277,13 +281,9 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
             canon, offset = _canonical_rotation(labels)
             if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
                 found[canon] = (offset, imap, a, flag, boxes)
-        if len(labels) >= max_len:
-            continue
-        fire = cg.steps[turn]
-        for k, _e, nxt, moved in cg.successors(node, boxes):
-            emap, dil, eflag = fire[k]
-            stack.append((labels + ((turn, k),), nxt, cg.compose(emap, imap),
-                          a if dil == 1 else a * dil, flag | eflag, moved))
+        if len(labels) < max_len:
+            for k, nxt in cg.extend(walk):
+                stack.append((labels + ((turn, k),), nxt))
     vol = cg.cell_volume()
     out = []
     # circuits share few weights: each is built once
@@ -370,7 +370,7 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
             raise IterationCapExceeded(
                 "series enumeration length escalated beyond 4096")
     total = Fraction(0)
-    for circ in circuits(f, g, max_len=length, cap=cap):
+    for circ in _circuits(cg, length, expansion_cap(cap)):
         for orb in circ.orbits:
             if orb.closed:
                 total += _orbit_series(circ.weight.a, circ.weight.flag,

@@ -8,15 +8,17 @@ import random
 import pytest
 
 from gmachines import cli, execution
-from gmachines.automata import parity_automaton, zeros_ones_automaton
+from gmachines.automata import (IN, MultiheadAutomaton, Transition, parity_automaton,
+                                zeros_ones_automaton)
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
-from gmachines.execution import (FREE, CellGraph, _composite, _plug_general,
+from gmachines.execution import (CellGraph, _composite, _plug_general,
                                  alternating_paths, cell_count, cell_decompose,
                                  cell_path_counts, expansion_cap, plug,
                                  plug_projects)
 from gmachines.graphings import (Edge, GraphingRep, Project, SymValue, Weight,
                                  equivalent)
+from gmachines.machines import accepts
 from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
@@ -30,6 +32,12 @@ def _cells(boxes):
     """The cells of grid boxes, sorted."""
     return sorted((blk, cube) for lo, hi, ranges in boxes for blk in range(lo, hi)
                   for cube in product(*[range(a, z) for a, z in ranges]))
+
+
+def _cell_box(cell):
+    """The grid box holding one cell."""
+    blk, cube = cell
+    return blk, blk + 1, tuple((x, x + 1) for x in cube)
 
 
 def _pair_raw(conveyor, doubler):
@@ -265,7 +273,7 @@ def test_carried_box_splits_at_the_wrap_of_a_shift():
     g = GraphingRep(seg(1, 4), 1, [_hop(seg(1, 2, **_quarter(0, 2)), 1),
                                    _hop(seg(1, 2, **_quarter(2, 4)), 2)])
     cells, cg = _routes_agree(f, g, seg(1, 2))
-    assert cg.images(cg.steps[0][0][0], cg.grid_boxes(f.edges[0].source)[0]) == \
+    assert cg.images(cg._edges[0][0][1], cg.grid_boxes(f.edges[0].source)[0]) == \
         [(1, 2, ((3, 4),)), (1, 2, ((0, 2),))]
     half = Fraction(1, 2)
     assert _exits(cells) == {(2, half): [2, 3], (3, half): [1]}
@@ -362,7 +370,7 @@ def test_cell_decompose_word_graphing():
         assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
             img = image(cg, 0, j, c)
-            assert (j, [cg.cell_box(img)]) in cg.arrows(0, None, cg.cell_box(c))
+            assert (j, e.out_state, img) in cg.fire(0, None, c)
             assert img != c or e.mapd.is_identity()
 
 
@@ -393,44 +401,49 @@ def test_cell_graph_of_a_json_copy_shares_nothing_and_matches():
     rep = representation("0110")
     cut = DEFAULT_PSI.interface_mset()
     shared, apart = (cell_decompose([h, rep], [cut]) for h in (m.graphing, copy))
-    assert (shared.n, shared.N, shared._edges, shared.steps, shared.extra) == \
-        (apart.n, apart.N, apart._edges, apart.steps, apart.extra)
+    assert (shared.n, shared.N, shared._edges, shared.extra) == \
+        (apart.n, apart.N, apart._edges, apart.extra)
     assert plug(m.graphing, rep, cut).to_json() == plug(copy, rep, cut).to_json()
 
 
-def test_any_state_index_and_successors_chain():
+def test_any_state_index_and_extend_chain():
     rng = random.Random(23)
     for _ in range(20):
         f, g = random_rigid_pair(rng, dialect=3)
         cg = cell_decompose([f, g])
         cells = sorted({cell for _side, _k, cell, _dst in ref_arrows(cg)})
         # a group of walks, one one-cell box per cell
-        group = [cg.cell_box(cell) for cell in cells]
+        group = [_cell_box(cell) for cell in cells]
         idle = (1, 2)
         for side, h in enumerate((f, g)):
             sources = [set(cg.source_cells(side, k)) for k in range(len(h.edges))]
+            still = (0, tuple((c, 0) for c in range(cg.N)))
             for cell in cells:
-                box = cg.cell_box(cell)
+                root = cg.root(cell, side)
+                assert root == ((execution.FREE, side), still, 1, 0, [_cell_box(cell)])
                 live = [k for k, src in enumerate(sources) if cell in src]
-                assert [k for k, _img in cg.arrows(side, None, box)] == live
-                free = [(k, e) for k, e, _, _ in cg.successors((FREE, side), [box])]
-                assert free == [(k, h.edges[k]) for k in live]
+                assert [k for k, _out, _img in cg.fire(side, None, cell)] == live
+                assert [k for k, _walk in cg.extend(root)] == live
                 for state in range(h.dialect_size):
                     now = ((state + 1) % h.dialect_size, state)
                     st = (now, idle) if side == 0 else (idle, now)
-                    arrows = list(cg.successors((st, side), [box]))
-                    assert [k for k, *_ in arrows] == \
+                    arrows = list(cg.extend(((st, side), *root[1:])))
+                    assert [k for k, _walk in arrows] == \
                         [k for k in live if h.edges[k].in_state == state]
-                    for k, e, (nst, turn), moved in arrows:
-                        assert e is h.edges[k] and e.in_state == state
-                        assert moved == [cg.cell_box(image(cg, side, k, cell))]
+                    for k, ((nst, turn), imap, a, flag, moved) in arrows:
+                        e = h.edges[k]
+                        assert e.in_state == state
+                        assert moved == [_cell_box(image(cg, side, k, cell))]
+                        assert cg.descriptor(imap).key() == e.mapd.key()
+                        assert (a, flag) == (e.weight.a, e.weight.flag)
                         assert turn == 1 - side
                         assert nst[side] == (now[0], e.out_state)
                         assert nst[1 - side] == idle
             # a group fires each edge once, on exactly the walks it applies to
             for state in (None, *range(h.dialect_size)):
                 st = ((state, state), idle) if side == 0 else (idle, (state, state))
-                got = {k: _cells(moved) for k, _e, _nxt, moved in cg.successors((st, side), group)}
+                walk = ((st, side), still, 1, 0, group)
+                got = {k: _cells(nxt[4]) for k, nxt in cg.extend(walk)}
                 want = {}
                 for cell in cells:
                     for k, src in enumerate(sources):
@@ -457,25 +470,27 @@ def _series_shaped_pairs(rng):
 
 
 def _assert_arrows_match_sources(cg):
-    """arrows against ref_edges_from on every side, for state None and
+    """fire against ref_edges_from on every side, for state None and
     every state of the side's dialect, at every cell of the blocks the
     sources touch and one block either side; each image is the cell that
-    the edge's map sends the cell's set onto."""
-    blocks = [cell[0] for *_, cell, _dst in ref_arrows(cg)]
+    the edge's map sends the cell's set onto, and each out-state the
+    edge's."""
+    lines = [b.line for h in cg.gs for e in h.edges for b in e.source.boxes]
+    blocks = range(min(int(iv.lo) for iv in lines) - 1, max(int(iv.hi) for iv in lines) + 1)
     cubes = list(product(range(cg.n), repeat=cg.N))
     for side, h in enumerate(cg.gs):
         lists = ref_source_lists(cg, side)
         # (map, cell, image) triples already checked: edges share maps
         checked = set()
         for state in (None, *range(h.dialect_size)):
-            for blk in range(min(blocks) - 1, max(blocks) + 2):
+            for blk in blocks:
                 for cube in cubes:
                     cell = (blk, cube)
-                    got = cg.arrows(side, state, cg.cell_box(cell))
-                    assert [k for k, _img in got] == \
+                    got = cg.fire(side, state, cell)
+                    assert [k for k, _out, _img in got] == \
                         ref_edges_from(cg, side, state, cell, lists), (side, state, cell)
-                    for k, imgs in got:
-                        (img,) = _cells(imgs)
+                    for k, out, img in got:
+                        assert out == h.edges[k].out_state
                         key = (h.edges[k].mapd, cell, img)
                         if key not in checked:
                             assert cg.cell_mset(img) == \
@@ -587,12 +602,13 @@ def test_seeds_skip_whole_and_partial_blocks():
             got = list(cg.seeds(cg.grid_boxes(cut)))
             # each seed's boxes are disjoint and hold the images of its
             # source cells outside the cut
-            assert [(side, k, *walk) for side, k, _node, boxes in got
-                    for walk in sorted(cg.walks(cg.steps[side][k][0], boxes).items())] == \
+            assert [(side, k, *walk) for side, k, (_node, imap, _a, _flag, boxes) in got
+                    for walk in sorted(cg.walks(imap, boxes).items())] == \
                 sorted(a for a in arrows if a[2] not in skip)
-            for side, k, (st, turn), group in got:
+            for side, k, ((st, turn), _imap, dil, flag, group) in got:
                 e = (f, g)[side].edges[k]
                 assert group and cell_count(group) == len(_cells(group))
+                assert (dil, flag) == (e.weight.a, e.weight.flag)
                 assert st[side] == (e.in_state, e.out_state)
                 assert st[1 - side] == (None, None) and turn == 1 - side
 
@@ -615,34 +631,48 @@ def test_image_matches_the_rational_map():
 
 def test_integer_maps_match_the_descriptors():
     # the walks compose integer maps and read descriptors off them; both
-    # must agree with composing the edges' descriptors
+    # must agree with composing the edges' descriptors, and a walk's map
+    # must send its start cells where its edges send them.  Every walk of
+    # up to 8 edges is checked, its cells against its parent's.
     rng = random.Random(67)
     perms = [Perm(dict(zip((1, 2, 3), p))) for p in permutations((1, 2, 3))]
-    checked = 0
+    lengths = Counter()
     for i in range(40):
         f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], bound=3, perms=perms,
                                  blocks=(0, 1, 2, 3), wide=i % 2 == 1)
+        # every other edge halves the dilation
+        f, g = (GraphingRep(h.support, h.dialect_size, [
+            Edge(e.source, e.in_state, e.out_state, e.mapd,
+                 Weight(Fraction(1, 1 + k % 2), e.weight.flag)) for k, e in enumerate(h.edges)])
+                for h in (f, g))
         cg = cell_decompose([f, g])
-        labels = [(side, k) for side, h in enumerate((f, g)) for k in range(len(h.edges))]
-        for side, k in labels:
-            assert cg.descriptor(cg.steps[side][k][0]).key() == \
-                cg.edge(side, k).mapd.key(), (i, side, k)
-        for _ in range(10):
-            seq = [rng.choice(labels) for _ in range(rng.randint(1, 8))]
-            imap, desc = cg.steps[seq[0][0]][seq[0][1]][0], cg.edge(*seq[0]).mapd
-            for side, k in seq[1:]:
-                imap = cg.compose(cg.steps[side][k][0], imap)
-                desc = cg.edge(side, k).mapd.compose(desc)
+        edges = (f.edges, g.edges)
+        # (labels, composed descriptor, dilation, flag, {start cell: the
+        # cell its walk is at}, the parent's, walk)
+        stack = []
+        for side, k, walk in cg.seeds():
+            e = edges[side][k]
+            starts = {c: c for c in cg.source_cells(side, k)}
+            stack.append(([(side, k)], e.mapd, e.weight.a, e.weight.flag, starts, walk))
+        assert [seq for seq, *_ in stack] == \
+            [[(side, k)] for side in (0, 1) for k in range(len(edges[side]))], i
+        while stack:
+            seq, desc, a, flag, before, walk = stack.pop()
+            (_st, turn), imap, dil, wflag, boxes = walk
             assert cg.descriptor(imap).key() == desc.key(), (i, seq)
-            cell = (rng.randrange(4), tuple(rng.randrange(cg.n) for _ in range(cg.N)))
-            end = cell
-            for side, k in seq:
-                end = image(cg, side, k, end)
+            assert (dil, wflag) == (a, flag), (i, seq)
             offset, moves = imap
-            assert end == (cell[0] + offset,
-                           tuple((cell[1][j] + s) % cg.n for j, s in moves)), (i, seq)
-            checked += 1
-    assert checked == 400
+            reached = cg.walks(imap, boxes)
+            for start, end in reached.items():
+                assert end == image(cg, *seq[-1], before[start]) == (start[0] + offset, tuple(
+                    (start[1][j] + s) % cg.n for j, s in moves)), (i, seq, start)
+            lengths[len(seq)] += 1
+            if len(seq) < 8:
+                for k, nxt in cg.extend(walk):
+                    e = edges[turn][k]
+                    stack.append((seq + [(turn, k)], e.mapd.compose(desc), a * e.weight.a,
+                                  flag | e.weight.flag, reached, nxt))
+    assert sorted(lengths) == list(range(1, 9)) and sum(lengths.values()) == 1382
 
 
 def test_cell_plug_builds_descriptors_only_at_read_out(monkeypatch):
@@ -729,3 +759,23 @@ def test_env_cap_applies(monkeypatch, conveyor, doubler):
     monkeypatch.setenv("GM_MAX_PATH_LEN", "15")
     with pytest.raises(IterationCapExceeded):
         alternating_paths(conveyor, doubler, max_len=10 ** 6)
+
+
+def test_a_run_moving_in_forever_plugs_to_nothing():
+    # every state of this one-head automaton moves In forever: its walks
+    # reach the cells they were at with the same map and weight again, and
+    # the cell route keeps such cells once, so the plug closes off with no
+    # composite edge; the exact route, one queue entry per path, does not
+    # close off.  This records what the cell route's deduplication does
+    # here, for the decision on walks that meet.
+    a = MultiheadAutomaton(1, ["init", "s", "accept", "reject"],
+                           [Transition(("*",), "init", 1, IN, "s")]
+                           + [Transition((c,), "s", 1, IN, "s") for c in "*01"])
+    m = automaton_to_machine(a)
+    cut = DEFAULT_PSI.interface_mset()
+    for w in ("", "1", "10", "0110"):
+        rep = representation(w)
+        assert plug(m.graphing, rep, cut, cap=10 ** 6).edges == (), w
+        with pytest.raises(NonTerminating):
+            _plug_general(m.graphing, rep, cut, 1000, None)
+        assert accepts(m, w), w

@@ -11,7 +11,7 @@ from gmachines import measurement
 from gmachines.automata import parity_automaton, zeros_ones_automaton
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded
-from gmachines.execution import cell_decompose
+from gmachines.execution import CellGraph, cell_decompose
 from gmachines.graphings import (Edge, GraphingRep, Project, Weight,
                                  rename_dialect)
 from gmachines.machines import accepts, compute
@@ -124,6 +124,18 @@ def test_series_needing_more_than_4096_raises_before_enumerating():
     with pytest.raises(IterationCapExceeded):
         measure_graphings(_loop(a=slow), _loop(a=slow, flag=0), mode="series")
     assert time.perf_counter() - start < 1
+
+
+def test_series_measurement_builds_one_cell_graph(monkeypatch):
+    # the tail bound and the circuit listing read the same cell graph
+    built = []
+    real = CellGraph.__init__
+    monkeypatch.setattr(CellGraph, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    f = _loop(a=Fraction(1, 2), shifts={1: Fraction(1, 3)})
+    g = _loop(a=Fraction(1, 2), flag=0)
+    assert measure_graphings(f, g, mode="series") == Fraction(16643, 786429)
+    assert len(built) == 1
 
 
 def test_series_tolerance_must_be_positive():
