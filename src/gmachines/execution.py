@@ -1,60 +1,42 @@
 """Running graphings against each other.
 
-Two engines live here.  The exact engine enumerates alternating paths as
-shrinking rational sets and works for any maps; it is one breadth-first
-walk, `_exact_walk`, that path listing runs without a cut and general
-plugging runs from outside a cut.  It fires edges as the cell walk does:
-a queue entry is a fired path, an edge is tried only where a slab lookup
-says its source can meet the carried set, it is tried on the dialect
-pair before its source is intersected, and the budget counts arrows
-fired.
-The cell engine applies when every map is rigid at some grid: slope one,
+An alternating path of two graphings is a walk: (node, map, dilation,
+flag, set).  The node is (dialect pair, side to fire); the pair holds,
+per side, the in-state of that side's first edge and its current
+out-state, both None while the side has not fired.  The set holds the
+points the walk is at.  One walk runs over two set algebras, each a
+graph with the same interface: `seeds(cut)` fires every edge from the
+free pair on its source less the cut, `extend(walk)` takes a walk one
+edge further (chaining the dialect pair with `_chain`), `count` is what
+a firing costs against the budget, `split(sets, others)` gives the parts
+inside and outside others, and `records` reads the exits out as
+(source, dialect pair, map, weight).
+
+`_ExactGraph` works for any maps, on rational boxes; a firing counts 1.
+`CellGraph` applies when every map is rigid at some grid: slope one,
 integer offsets, circle shifts on grid lines, coordinate permutations
-within a bound.  Rigidity is read once, by `cell_decompose`, which infers
-the grid and bound or raises NotCellRigid; `plug` takes the cell route
-exactly when that succeeds.  It reads each distinct map and each distinct
-set once, telling them apart by identity: the edges of a compiled machine
-share some twenty maps and eight source blocks, and a graphing read from
-JSON, which shares nothing, takes the same path one edge at a time.
-Rigid maps send grid cells to grid cells, so paths become walks on a
-finite graph of cells and plugging terminates by state deduplication.
+within a bound.  `cell_decompose` reads the grid and the bound once, or
+raises NotCellRigid.  Rigid maps send grid cells to grid cells, so its
+walks run on a finite product graph, carrying the cells that share a
+label sequence as grid boxes; a firing counts the cells it carries.
+`plug` takes the cell graph exactly when it exists, and both run the one
+search `_plug`; `alternating_paths` lists the exact walks without a cut.
+`walk_counts`, the circuit search and listing of the measurement module,
+and the run-to-path map of the encodings module also walk the cell graph.
 
-The cell engine is one walk on a finite product graph.  A node is
-(dialect pair, side to fire); the pair holds, per side, the in-state of
-that side's first edge and its current out-state, both None while the
-side has not fired.  Rigid maps act on cells as a group, so a walk's
-node, map and weight depend only on its labels: the walks sharing them
-move as one group, carried as a list of disjoint grid boxes (a run of
-blocks and one range of grid indices per coordinate) holding the cells
-they are at.  A walk is (node, integer map, dilation, flag, grid boxes);
-the cell a walk started from is the inverse map of where it is, so start
-cells are listed, and a descriptor built, only when a result is read out
-(`CellGraph.walks`, `CellGraph.descriptor`).  Every distinct set the
-walk reads, an edge's source or the cut, is read once into grid boxes
-(`CellGraph.grid_boxes`), and every distinct map once into integers, so
-a group meets a source or the cut by range arithmetic (`_meet`,
-`_split`) and nothing is listed cell by cell.
-How a walk takes an edge is decided in one place, `CellGraph.extend`: it
-chains the dialect pair (`_chain`, also the exact engine's dialect
-bookkeeping), composes the integer map, multiplies the dilation and ORs
-the flag.  `CellGraph.seeds` fires every edge from the free pair on its
-source boxes less the cut, and `CellGraph.root` is the walk of no edges
-at one cell.  A search that follows single cells, as the circuit search
-and the run-to-path map do, asks `CellGraph.fire` for the edges firing
-at a cell, their out-states and the cells they land on.  Which edges fire
-on a box, and the boxes they send it to, is asked of `CellGraph.arrows`
-alone, and the circuit search roots itself at the cells
-`CellGraph.landings` gives, where a flagged edge lands and the other side
-fires next.  The budget counts cells fired, a box's volume, so it does
-not depend on how the cells are boxed.  Plugging, `walk_counts`,
-the circuit search and listing of the measurement module, and the
-run-to-path map of the encodings module are searches over this graph.
-
-Plugging two graphings along a cut region composes every alternating path
-that starts outside the cut, travels inside it, and exits; the composite
-becomes a single edge of the result.  The dialect of the result is the
-product dialect renamed to an initial segment; a path that never touched
-one side is replicated over that side's states.
+Plugging two graphings along a cut region composes the alternating paths
+that start outside the cut, travel inside it, and exit; the composite
+becomes an edge of the result.  It has set semantics: a composite covers
+each (start point, dialect pair, map, weight) once, however many paths
+reach it, since a walk goes on only with the part of its set not reached
+before with the same node, map and weight.  The paper places these
+machines at logspace, where what counts is which configurations a run
+reaches, not how many paths reach them; keeping meeting walks once is
+what keeps a plug finite, and polynomial, when two nondeterministic runs
+reach one configuration.  Measuring a result exactly (0 or INF) does not
+depend on multiplicity.  The dialect of the result is the product
+dialect renamed to an initial segment; a path that never touched one
+side is replicated over that side's states.
 """
 
 from __future__ import annotations
@@ -74,8 +56,8 @@ from .errors import (
     NotCellRigid,
     OverlappingSupports,
 )
-from .graphings import Edge, GraphingRep, ONE, Project, SymValue, Weight
-from .microcosm import IDENTITY, Perm, TransformationDescriptor
+from .graphings import Edge, GraphingRep, Project, SymValue, Weight
+from .microcosm import Perm, TransformationDescriptor
 from .space import Box, Interval, MSet
 
 __all__ = [
@@ -263,9 +245,10 @@ class CellGraph:
     (`_slab_table`, built on first use); only the source boxes listed on
     the slabs a box meets are intersected with it.  A firing counts the
     cells it carries, the volume of its boxes (`cell_count`), so the
-    budget's unit is a cell fired however the cells are boxed.  Built by
-    `cell_decompose`; the grid and the coordinate bound are read off the
-    same distinct maps and sets.
+    budget's unit is a cell fired however the cells are boxed; `count`,
+    `split` and `records` are what plugging asks of it, as of
+    `_ExactGraph`.  Built by `cell_decompose`; the grid and the coordinate
+    bound are read off the same distinct maps and sets.
     """
 
     def __init__(self, gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()):
@@ -439,6 +422,22 @@ class CellGraph:
                 tuple((i + 1, Fraction(s, self.n)) for i, (_j, s) in enumerate(moves) if s))
         return self._descs[imap]
 
+    # -- what plugging asks of a graph --------------------------------------
+
+    unit = "cell-arrow expansions"
+    count = staticmethod(cell_count)
+    split = staticmethod(_split)
+
+    def records(self, results) -> list[tuple]:
+        """(start cell as a set, dialect pair, map, weight) per start cell,
+        from {(dialect pair, integer map, dilation, flag): [exit boxes]};
+        identical ones once."""
+        found = {(start, st, imap, a, flag): None
+                 for (st, imap, a, flag), exits in results.items()
+                 for start in self.walks(imap, [b for boxes in exits for b in boxes])}
+        return [(self.cell_mset(start), st, self.descriptor(imap), Weight(a, flag))
+                for start, st, imap, a, flag in found]
+
     def _listed(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, GridBox]]:
         """The (edge, source box) pairs of one side that may meet a box
         from a dialect state, in edge order: those listed on the
@@ -584,87 +583,109 @@ def _source_index(g: GraphingRep):
                   for slab in slabs]
 
 
-def _edges_meeting(index, m: MSet) -> list[int]:
-    """The edges, in order, listed on a slab that meets a box of m."""
-    hits: set[int] = set()
-    for b in m.boxes:
-        c1 = b.coord(1)
-        for inner in _slabs_meeting(index, b.line.lo, b.line.hi):
-            for ks in _slabs_meeting(inner, c1.lo, c1.hi):
-                hits.update(ks)
-    return sorted(hits)
+class _ExactGraph:
+    """The walks of graphings on rational sets, for any maps.
 
+    A walk is (node, descriptor, dilation, flag, set), the set a list of
+    disjoint boxes in normal form, as are the sets in extra (`extra`).
+    `extend` tries, in edge order, only the edges listed on a line and
+    coordinate-1 slab that meets a box of the set (`_source_index`), on
+    the dialect pair before their source is intersected.  A firing counts
+    1, so the budget counts arrows fired."""
 
-def _exact_walk(f: GraphingRep, g: GraphingRep, cut: MSet | None,
-                max_len: int | None, budget: int):
-    """Breadth-first search of the exact alternating paths of f and g.
+    unit = "fired arrows"
+    count = staticmethod(lambda boxes: 1)
 
-    It walks like `CellGraph.extend`, on rational sets in place of
-    cells.  A queue entry is a fired path: the set it carries to the side
-    that fires next, with its dialect pair, composed map, weight, sides and
-    edges.  The seeds are one entry per side, holding that side's sources
-    less the cut when there is one, if that is not empty.  A pop of a path
-    max_len long fires nothing.  A pop finds that side's edges by slab
-    lookup (`_source_index`): it tries, in order, those listed on a line
-    and coordinate-1 slab that meets a box of the carried set.  An edge
-    fires when it chains at the pair and its source meets the carried set.
-    Every fired edge is recorded as (sides, edges,
-    dialect pair, composed map, weight, image of the piece it fired on);
-    only the image carries on, and with a cut only its part inside the
-    cut.  Returns the records and whether max_len stopped a path that
-    could still go on; raises IterationCapExceeded once more than budget
-    arrows have fired.
-    """
-    pairs = (f, g)
-    index = [_source_index(h) for h in pairs]
-    queue: deque = deque()
-    for side, h in enumerate(pairs):
-        src = MSet([b for e in h.edges for b in e.source.boxes])
-        if cut is not None:
-            src = src.difference(cut)
-        if not src.is_empty():
-            queue.append((src, side, FREE, IDENTITY, ONE, (), ()))
-    steps = []
-    truncated = False
-    while queue:
-        carried, side, st, desc, weight, sides, edges = queue.popleft()
-        if max_len is not None and len(edges) >= max_len:
-            truncated = True
-            continue
-        for k in _edges_meeting(index[side], carried):
-            e = pairs[side].edges[k]
-            now = _chain(st, side, e)
-            if now is None:
-                continue
-            piece = carried.intersect(e.source)
-            if piece.is_empty():
-                continue
-            if len(steps) >= budget:
-                raise IterationCapExceeded(
-                    f"alternating paths still alive after {budget} arrows fired")
-            path = (sides + (side,), edges + (e,))
-            fired = (now, e.mapd.compose(desc), weight * e.weight)
-            img = e.mapd.apply_mset(piece)
-            steps.append((*path, *fired, img))
-            carry = img if cut is None else img.intersect(cut)
-            if not carry.is_empty() and pairs[1 - side].edges:
-                queue.append((carry, 1 - side, *fired, *path))
-    return steps, truncated
+    def __init__(self, gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()):
+        self.gs = list(gs)
+        self.extra = [list(m.boxes) for m in extra]
+        self._index = [_source_index(g) for g in self.gs]
+
+    @staticmethod
+    def split(boxes, others) -> tuple[list, list]:
+        """A set cut by others: (the part inside, the part outside), each a
+        new list of boxes in normal form."""
+        m, cut = MSet(boxes), MSet(others)
+        return list(m.intersect(cut).boxes), list(m.difference(cut).boxes)
+
+    def seeds(self, cut=()):
+        """Every edge fired from the free pair on its source less the cut:
+        (side, k, the walk it starts).  Edges that share a source and a
+        map, told apart by identity, share the image."""
+        images: dict[tuple[int, int], list] = {}
+        for side, g in enumerate(self.gs):
+            for k, e in enumerate(g.edges):
+                key = (id(e.source), id(e.mapd))
+                if key not in images:
+                    _in, piece = self.split(e.source.boxes, cut)
+                    images[key] = list(e.mapd.apply_mset(MSet(piece)).boxes)
+                if images[key]:
+                    # a copy each: a plug adds to the set of a walk it keeps
+                    yield side, k, ((_chain(FREE, side, e), 1 - side), e.mapd, e.weight.a,
+                                    e.weight.flag, list(images[key]))
+
+    def extend(self, walk):
+        """The walks one more edge takes a walk to, in edge order, as (k,
+        walk).  The new walk chains the dialect pair, composes the edge's
+        map after the walk's, multiplies in its dilation and ORs in its
+        flag; its set is the image of the part of the set the edge's
+        source holds."""
+        (st, turn), desc, a, flag, boxes = walk
+        hits: set[int] = set()
+        for b in boxes:
+            c1 = b.coord(1)
+            for inner in _slabs_meeting(self._index[turn], b.line.lo, b.line.hi):
+                for slab in _slabs_meeting(inner, c1.lo, c1.hi):
+                    hits.update(slab)
+        carried = MSet(boxes)
+        edges = self.gs[turn].edges
+        for k in sorted(hits):
+            e = edges[k]
+            now = _chain(st, turn, e)
+            if now is not None and not (piece := carried.intersect(e.source)).is_empty():
+                yield k, ((now, 1 - turn), e.mapd.compose(desc), a * e.weight.a,
+                          flag | e.weight.flag, list(e.mapd.apply_mset(piece).boxes))
+
+    @staticmethod
+    def records(results) -> list[tuple]:
+        """(source, dialect pair, map, weight) per exit set, from {(dialect
+        pair, map, dilation, flag): [exit sets]}; identical ones once."""
+        found = {}
+        for (st, desc, a, flag), exits in results.items():
+            for boxes in exits:
+                src = desc.inverse().apply_mset(MSet(boxes))
+                found[src, st, desc, a, flag] = (src, st, desc, Weight(a, flag))
+        return list(found.values())
 
 
 def alternating_paths(f: GraphingRep, g: GraphingRep, max_len: int | None = None,
                       cap: int | None = None) -> list[AlternatingPath]:
     """Every alternating path of positive measure, shortest first.
 
-    With max_len given, enumeration stops at that length; without it the
-    enumeration must die out on its own within the iteration budget.
+    A breadth-first search of the exact walks (`_ExactGraph`) that keeps
+    every walk with the sides and edges it took.  With max_len given,
+    enumeration stops at that length; without it the enumeration must die
+    out on its own within the budget of arrows fired.
     """
-    steps, _ = _exact_walk(f, g, None, max_len, expansion_cap(cap))
-    out = [AlternatingPath(sides, edges, desc.inverse().apply_mset(img), desc,
-                           (st[0][0], st[1][0]), (st[0][1], st[1][1]), weight)
-           for sides, edges, st, desc, weight, img in steps]
-    out.sort(key=lambda p: (p.length, p.sides))
-    return out
+    graph = _ExactGraph([f, g])
+    budget = expansion_cap(cap)
+    # (sides, edges, walk), breadth first: the loop goes on over the paths
+    # it appends, from the empty path, whose walk is None
+    paths: list = [((), (), None)]
+    for sides, edges, walk in paths:
+        if max_len is not None and len(edges) >= max_len:
+            continue
+        fired = graph.seeds() if walk is None else \
+            ((walk[0][1], k, nxt) for k, nxt in graph.extend(walk))
+        for side, k, nxt in fired:
+            if len(paths) > budget:
+                raise IterationCapExceeded(
+                    f"alternating paths still alive after {budget} arrows fired")
+            paths.append((sides + (side,), edges + (graph.gs[side].edges[k],), nxt))
+    return sorted((AlternatingPath(sides, edges, desc.inverse().apply_mset(MSet(boxes)), desc,
+                                   (st[0][0], st[1][0]), (st[0][1], st[1][1]), Weight(a, flag))
+                   for sides, edges, ((st, _turn), desc, a, flag, boxes) in paths[1:]),
+                  key=lambda p: (p.length, p.sides))
 
 
 def _pair_state(st, df_size, dg_size):
@@ -691,44 +712,41 @@ def _check_supports(f: GraphingRep, g: GraphingRep, cut: MSet):
             "graphings overlap outside the cut region")
 
 
-def _plug_cells(cg: CellGraph, cap, max_len):
-    """Breadth-first search of the product graph from every seed outside
-    the cut, the one extra set of cg; a walk becomes a composite edge
-    where it leaves the cut.  Boxes are deduplicated per (node, map,
-    weight) against the boxes already reached there, and split at the cut;
-    exit boxes become start cells, and each distinct map a descriptor,
-    only when results are read."""
-    (boxes,) = cg.extra
-    # (dialect pair, map, dilation, flag) -> boxes where walks leave the cut
+def _plug(graph, cut, cap, max_len):
+    """Breadth-first search of a graph's walks from every seed outside the
+    cut, given in the graph's sets; a walk becomes a composite edge where
+    it leaves the cut.  Each walk counts against the budget (`count`), and
+    goes on with the part of its set not reached before with its node, map
+    and weight, split at the cut (`split`); `records` reads the exits out."""
+    count, split = graph.count, graph.split
+    # (dialect pair, map, dilation, flag) -> the sets where walks leave the cut
     results: dict = {}
     budget = expansion_cap(cap)
-    fires = 0
-    truncated = False
+    fires, truncated = 0, False
     queue: deque = deque()
-    # (node, map, dilation, flag) -> the disjoint boxes reached there
+    # (node, map, dilation, flag) -> the disjoint sets reached there
     seen: dict = {}
 
     def reach(walk, length):
         nonlocal fires
         node, imap, a, flag, reached = walk
-        fires += cell_count(reached)
+        fires += count(reached)
         if fires > budget:
-            raise NonTerminating(
-                f"plug exceeded the budget of {budget} cell-arrow expansions")
+            raise NonTerminating(f"plug exceeded the budget of {budget} {graph.unit}")
         key = (node, imap, a, flag)
         known = seen.get(key)
         if known is None:
-            seen[key] = list(reached)
+            seen[key] = reached
         else:
-            _in, reached = _split(reached, known)
+            _in, reached = split(reached, known)
             known += reached
-        inside, outside = _split(reached, boxes)
+        inside, outside = split(reached, cut)
         if outside:
-            results.setdefault((node[0], imap, a, flag), []).extend(outside)
+            results.setdefault((node[0], imap, a, flag), []).append(outside)
         if inside:
             queue.append(((node, imap, a, flag, inside), length))
 
-    for _side, _k, walk in cg.seeds(boxes):
+    for _side, _k, walk in graph.seeds(cut):
         if max_len == 0:
             # a seed is an arrow that would make a path of length 1
             return [], True
@@ -738,50 +756,28 @@ def _plug_cells(cg: CellGraph, cap, max_len):
         if max_len is not None and length >= max_len:
             truncated = True
             continue
-        for _k, nxt in cg.extend(walk):
+        for _k, nxt in graph.extend(walk):
             reach(nxt, length + 1)
-    found = {(start, st, imap, a, flag): None
-             for (st, imap, a, flag), exits in results.items()
-             for start in cg.walks(imap, exits)}
-    return [(cg.cell_mset(start), st, cg.descriptor(imap), Weight(a, flag))
-            for start, st, imap, a, flag in found], truncated
-
-
-def _plug_general(f, g, cut, cap, max_len):
-    """The exact walk from outside the cut; the part of each step's image
-    that leaves the cut becomes a composite edge."""
-    budget = expansion_cap(cap)
-    try:
-        steps, truncated = _exact_walk(f, g, cut, max_len, budget)
-    except IterationCapExceeded as exc:
-        raise NonTerminating(
-            f"plugging did not close off within {budget} fired arrows") from exc
-    results: dict = {}
-    for _sides, _edges, st, desc, weight, img in steps:
-        outside = img.difference(cut)
-        if not outside.is_empty():
-            src = desc.inverse().apply_mset(outside)
-            results[(src.boxes, st, desc.key(), weight.a, weight.flag)] = \
-                (src, st, desc, weight)
-    return list(results.values()), truncated
+    return graph.records(results), truncated
 
 
 def plug(f: GraphingRep, g: GraphingRep, cut: MSet, *, max_len: int | None = None,
          cap: int | None = None, allow_truncation: bool = False) -> GraphingRep:
     """Compose two graphings along a cut region.
 
-    Rigid inputs take the finite cell route; everything else enumerates
-    paths exactly and must die out within the budget.  Running out of
-    budget raises NonTerminating on both routes; so does stopping a path
+    Rigid inputs walk on grid cells (`CellGraph`), everything else on
+    rational sets (`_ExactGraph`); both run the one search `_plug`, which
+    covers each start point, dialect pair, map and weight once, so it
+    closes off when the walks come back to what they reached.  Running
+    out of budget raises NonTerminating on both; so does stopping a path
     at max_len, unless allow_truncation is set.
     """
     _check_supports(f, g, cut)
     try:
-        cg = cell_decompose([f, g], [cut])
+        graph = cell_decompose([f, g], [cut])
     except NotCellRigid:
-        found, truncated = _plug_general(f, g, cut, cap, max_len)
-    else:
-        found, truncated = _plug_cells(cg, cap, max_len)
+        graph = _ExactGraph([f, g], [cut])
+    found, truncated = _plug(graph, graph.extra[0], cap, max_len)
     if truncated and not allow_truncation:
         raise NonTerminating("plugging truncated at the requested length")
     return _composite(f, g, cut, found)

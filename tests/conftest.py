@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from gmachines.automata import MultiheadAutomaton, Transition
 from gmachines.graphings import Edge, GraphingRep, Weight
@@ -191,3 +192,46 @@ def odometer(k, reject_ones=False):
             trans.append(Transition(read, "rewind", k, IN, "rewind") if read[-1] != "*"
                          else Transition(read, "rewind", 1, IN, "reject"))
     return MultiheadAutomaton(k, ["init", *c[1:], "rewind", "accept", "reject"], trans)
+
+
+@st.composite
+def random_automata(draw, compilable=False):
+    """A small automaton with the init start and the two halting states:
+    1-3 heads, 2-5 working states, In and Out moves, steps into accept and
+    reject.  A rule reads one symbol on one head, or anything, and makes
+    one or two moves, so runs branch.  Init has one rule, from the marker
+    into the working states; each working state has one to three, and one
+    working state one more, into reject.  Only a rule that reads a letter
+    may reject, so that verdicts depend on the word.  A compilable one
+    halts only where every head reads the marker, as the compiler asks:
+    its halting moves are kept only there, any rule may reject, and the
+    last rule reads the marker on one head.  It has one or two heads,
+    since the compiled dialect grows by a factor k! 3^k in k heads."""
+    heads = draw(st.integers(1, 2 if compilable else 3))
+    work = [f"q{i}" for i in range(draw(st.integers(2, 5)))]
+    letter = st.tuples(st.integers(0, heads - 1), st.sampled_from("01"))
+    rule = st.one_of(letter, st.just((0, None)))
+
+    def moves(targets):
+        return st.lists(st.tuples(st.integers(1, heads), st.sampled_from((IN, OUT)),
+                                  st.sampled_from(targets)),
+                        min_size=1, max_size=2, unique=True)
+
+    rules = [("init", (0, "*"), draw(moves(work)))]
+    for state in work:
+        for h, sym in draw(st.lists(rule, min_size=1, max_size=3)):
+            halts = ["accept"] + ["reject"] * (sym is not None or compilable)
+            rules.append((state, (h, sym), draw(moves(work + halts))))
+    rules.append((draw(st.sampled_from(work)),
+                  (draw(st.integers(0, heads - 1)), "*") if compilable else draw(letter),
+                  draw(moves(["reject"]))))
+    star = ("*",) * heads
+    trans = {}
+    for state, (h, sym), steps in rules:
+        for read in product(SYMBOLS, repeat=heads):
+            if sym is None or read[h] == sym:
+                for head, d, nxt in steps:
+                    if not compilable or read == star or nxt not in ("accept", "reject"):
+                        trans[Transition(read, state, head, d, nxt)] = None
+    return MultiheadAutomaton(heads, ["init"] + work + ["accept", "reject"],
+                              list(trans))

@@ -7,7 +7,7 @@ oracles take from a cell decomposition their caller passes in, and the
 validating constructors of the maps that the compose oracle is given.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 
@@ -245,6 +245,72 @@ def image(cells, side, k, cell):
     x, out = ref_apply_point(cells.gs[side].edges[k].mapd, blk + Fraction(1, 2), centre)
     return (x.numerator // x.denominator,
             tuple(int(out.get(c + 1, 0) * n) for c in range(cells.N)))
+
+
+# -- plugging cell by cell -----------------------------------------------------
+#
+# A walk is (start cell, cell, dialect pair, side to fire, map, dilation,
+# flag), the pair holding per side the in-state of its first edge and its
+# last out-state, None while the side has not fired.  It takes the arrows
+# of the side to fire whose in-state chains at that out-state, composing
+# the maps with ref_compose, and leaves where it lands outside the cut.
+# Each walk is taken once, breadth first; an exit is copied over the
+# states of a side it never fired and renamed into the product dialect.
+
+
+def ref_plug(cells, cut, max_len=None):
+    """Counter of (in-state, out-state, map key, dilation, flag, start
+    cell) over the composite edges of plugging the two graphings of a
+    cell decomposition along the cut, per cell of their sources; walks
+    stop at max_len edges.  `cells` gives gs, n, N and source_cells, read
+    through ref_arrows."""
+    fires = {}
+    for side, k, cell, dst in ref_arrows(cells):
+        fires.setdefault((side, cell), []).append((k, dst))
+    inside = ref_cells(cut, cells.n, cells.N)
+
+    def fire(walk, k, dst):
+        start, _cell, pairs, side, d, a, flag = walk
+        e = cells.gs[side].edges[k]
+        first, last = pairs[side]
+        if last is not None and last != e.in_state:
+            return None
+        pair = (e.in_state if first is None else first, e.out_state)
+        pairs = (pair, pairs[1]) if side == 0 else (pairs[0], pair)
+        return (start, dst, pairs, 1 - side, e.mapd if d is None else ref_compose(e.mapd, d),
+                a * e.weight.a, flag | e.weight.flag)
+
+    free = ((None, None), (None, None))
+    level = [fire((cell, cell, free, side, None, 1, 0), k, dst)
+             for (side, cell), arrows in fires.items() if cell not in inside
+             for k, dst in arrows]
+    seen, exits = set(), set()
+    length = 1
+    while level:
+        nxt = []
+        for walk in level:
+            if walk is None or walk in seen:
+                continue
+            seen.add(walk)
+            start, cell, pairs, side, d, a, flag = walk
+            if cell not in inside:
+                exits.add((start, pairs, d, a, flag))
+            elif max_len is None or length < max_len:
+                nxt += [fire(walk, k, dst) for k, dst in fires.get((side, cell), ())]
+        level = nxt
+        length += 1
+    df, dg = (g.dialect_size for g in cells.gs)
+    out = Counter()
+    for start, ((in_f, out_f), (in_g, out_g)), d, a, flag in exits:
+        if in_f is None:
+            states = [(s, s, in_g, out_g) for s in range(df)]
+        elif in_g is None:
+            states = [(in_f, out_f, s, s) for s in range(dg)]
+        else:
+            states = [(in_f, out_f, in_g, out_g)]
+        for p, q, r, s in states:
+            out[p * dg + r, q * dg + s, d.key(), a, flag, start] += 1
+    return out
 
 
 # -- flagged circuits over the full product ----------------------------------

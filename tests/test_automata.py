@@ -5,13 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmachines.automata import (IN, OUT, Configuration, MultiheadAutomaton,
-                                Transition, co_accepts, language_a,
-                                parity_automaton, successors, trace_counts,
-                                zeros_ones_automaton)
-from gmachines.words import SYMBOLS
+from gmachines.automata import (Configuration, MultiheadAutomaton, co_accepts,
+                                language_a, parity_automaton, successors,
+                                trace_counts, zeros_ones_automaton)
 
-from conftest import odometer
+from conftest import odometer, random_automata
 from oracles import (_steps, all_words, dfa_even_ones, ref_co_accepts,
                      ref_run_counts)
 
@@ -140,42 +138,6 @@ def test_missing_fields_are_named_at_parse():
         t = {k: v for k, v in doc["transitions"][0].items() if k != key}
         with pytest.raises(ValueError, match=f"'{key}' field"):
             MultiheadAutomaton.from_json(dict(doc, transitions=[t]))
-
-
-@st.composite
-def random_automata(draw):
-    """A small automaton with the init start and the two halting states:
-    1-3 heads, 2-5 working states, In and Out moves, steps into accept and
-    reject.  A rule reads one symbol on one head, or anything, and makes
-    one or two moves, so runs branch.  Init has one rule, from the marker
-    into the working states; each working state has one to three, and one
-    working state one more, into reject.  Only a rule that reads a letter
-    may reject, so that verdicts depend on the word."""
-    heads = draw(st.integers(1, 3))
-    work = [f"q{i}" for i in range(draw(st.integers(2, 5)))]
-    letter = st.tuples(st.integers(0, heads - 1), st.sampled_from("01"))
-    rule = st.one_of(letter, st.just((0, None)))
-
-    def moves(targets):
-        return st.lists(st.tuples(st.integers(1, heads), st.sampled_from((IN, OUT)),
-                                  st.sampled_from(targets)),
-                        min_size=1, max_size=2, unique=True)
-
-    rules = [("init", (0, "*"), draw(moves(work)))]
-    for state in work:
-        for h, sym in draw(st.lists(rule, min_size=1, max_size=3)):
-            halts = ["accept"] + ["reject"] * (sym is not None)
-            rules.append((state, (h, sym), draw(moves(work + halts))))
-    rules.append((draw(st.sampled_from(work)), draw(letter),
-                  draw(moves(["reject"]))))
-    trans = {}
-    for state, (h, sym), steps in rules:
-        for read in product(SYMBOLS, repeat=heads):
-            if sym is None or read[h] == sym:
-                for head, d, nxt in steps:
-                    trans[Transition(read, state, head, d, nxt)] = None
-    return MultiheadAutomaton(heads, ["init"] + work + ["accept", "reject"],
-                              list(trans))
 
 
 @given(random_automata(), st.sampled_from(all_words(6)))

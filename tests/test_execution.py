@@ -6,13 +6,14 @@ from itertools import permutations, product
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from gmachines import cli, execution
-from gmachines.automata import (IN, MultiheadAutomaton, Transition, parity_automaton,
-                                zeros_ones_automaton)
+from gmachines.automata import (IN, MultiheadAutomaton, Transition, co_accepts,
+                                parity_automaton, zeros_ones_automaton)
 from gmachines.encodings import automaton_to_machine
 from gmachines.errors import IterationCapExceeded, NonTerminating, NotCellRigid
-from gmachines.execution import (CellGraph, _composite, _plug_general,
+from gmachines.execution import (CellGraph, _ExactGraph, _composite, _plug,
                                  alternating_paths, cell_count, cell_decompose,
                                  cell_path_counts, expansion_cap, plug,
                                  plug_projects)
@@ -23,9 +24,9 @@ from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
-from conftest import line_edge, odometer, random_rigid_pair, seg
-from oracles import (brute_paths, brute_plug, image, ref_arrows, ref_cells,
-                     ref_edges_from, ref_source_lists)
+from conftest import line_edge, odometer, random_automata, random_rigid_pair, seg
+from oracles import (all_words, brute_paths, brute_plug, image, ref_arrows, ref_cells,
+                     ref_co_accepts, ref_edges_from, ref_plug, ref_source_lists)
 
 
 def _cells(boxes):
@@ -208,10 +209,16 @@ def _census(h, cg) -> Counter:
                    for e in h.edges for cell in ref_cells(e.source, cg.n, cg.N))
 
 
+def _exact_plug(f, g, cut, cap=None, max_len=None):
+    """The plug of f and g on the exact graph, whatever their maps:
+    (records, truncated)."""
+    return _plug(_ExactGraph([f, g], [cut]), list(cut.boxes), cap, max_len)
+
+
 def _routes_agree(f, g, cut, max_len=None):
     """The cell route's plug against the exact route's, as graphings and
     cell by cell; returns the cell route's and its cell decomposition."""
-    found, truncated = _plug_general(f, g, cut, None, max_len)
+    found, truncated = _exact_plug(f, g, cut, max_len=max_len)
     assert max_len is not None or not truncated
     exact = _composite(f, g, cut, found)
     cells = plug(f, g, cut, max_len=max_len, allow_truncation=max_len is not None)
@@ -221,7 +228,11 @@ def _routes_agree(f, g, cut, max_len=None):
     return cells, cg
 
 
-def test_plugging_routes_agree(winding_machine, tape_loop_machine):
+def _route_inputs(winding_machine, tape_loop_machine):
+    """(f, g, cut, max_len) for the plugging route tests: compiled and
+    hand-built machines against words, and wide pairs.  The wide pairs'
+    f lives on blocks 0-3 and g on the cut, blocks 1-2, where walks may
+    cycle, so they stop at length 6."""
     cut = DEFAULT_PSI.interface_mset()
     small = ["", "1", "01", "110"]
     for m, words in ((automaton_to_machine(parity_automaton()),
@@ -231,15 +242,27 @@ def test_plugging_routes_agree(winding_machine, tape_loop_machine):
                      (automaton_to_machine(odometer(2)), ["", "1", "01", "0110"]),
                      (winding_machine, small), (tape_loop_machine, small)):
         for w in words:
-            _routes_agree(m.graphing, representation(w), cut)
-    # wide sources over one or two blocks; f lives on blocks 0-3 and g on
-    # the cut, blocks 1-2, where walks may cycle, so both routes stop at
-    # the same length
+            yield m.graphing, representation(w), cut, None
+    # wide sources over one or two blocks
     rng = random.Random(71)
     for i in range(20):
         f = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(0, 1, 2, 3), wide=True)[0]
         g = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(1, 2), wide=True)[1]
-        _routes_agree(f, g, seg(1, 3), max_len=6)
+        yield f, g, seg(1, 3), 6
+
+
+def test_plugging_routes_agree(winding_machine, tape_loop_machine):
+    for f, g, cut, max_len in _route_inputs(winding_machine, tape_loop_machine):
+        _routes_agree(f, g, cut, max_len)
+
+
+def test_plug_matches_the_reference_plug(winding_machine, tape_loop_machine):
+    # the routes share their walk, so this checks it against walks taken
+    # cell by cell from the reference arrows
+    for f, g, cut, max_len in _route_inputs(winding_machine, tape_loop_machine):
+        cg = cell_decompose([f, g], [cut])
+        h = plug(f, g, cut, max_len=max_len, allow_truncation=max_len is not None)
+        assert _census(h, cg) == ref_plug(cg, cut, max_len)
 
 
 # One case per step that a carried box takes, on a grid of 4 with one
@@ -316,6 +339,17 @@ def test_box_partly_inside_the_cut_leaves_with_the_rest():
     assert _exits(cells) == {(1, 0): [1, 2, 3], (2, 0): [0]}
 
 
+def test_overlapping_edges_sharing_a_map_cover_their_overlap_once():
+    # f's two edges share their map and both send [1/4, 3/4) of block 0
+    # into the cut, where g's one edge takes it out: a plug covers each
+    # start point, pair, map and weight once, on both graphs
+    f = GraphingRep(seg(0, 2), 1, [_hop(seg(0, 1, **_quarter(0, 3)), 1),
+                                   _hop(seg(0, 1, **_quarter(1, 4)), 1)])
+    g = GraphingRep(seg(1, 3), 1, [_hop(seg(1, 2), 1)])
+    cells, _cg = _routes_agree(f, g, seg(1, 2))
+    assert _exits(cells) == {(2, 0): [0, 1, 2, 3]}
+
+
 def test_a_path_only_the_second_side_fires_copies_over_the_first_dialect():
     # f's edge ends inside the cut, where g has no edge, so the only
     # completed path is g's edge alone and f stays free on it
@@ -323,7 +357,7 @@ def test_a_path_only_the_second_side_fires_copies_over_the_first_dialect():
         Edge(seg(0, 1), 0, 1, TransformationDescriptor(offset=1))])
     g = GraphingRep(seg(1, 4), 1, [line_edge(2, 3, 1, 1)])
     cut = seg(1, 2)
-    found, truncated = _plug_general(f, g, cut, None, None)
+    found, truncated = _exact_plug(f, g, cut)
     assert not truncated
     (hop,) = g.edges
     for out in (plug(f, g, cut), _composite(f, g, cut, found)):
@@ -551,25 +585,34 @@ def test_cell_walk_tries_at_most_two_edges_per_arrow(monkeypatch, capsys):
 
 
 def test_exact_walk_intersections_per_arrow_stay_flat(monkeypatch):
-    # a pop that intersected every word edge would make this ratio grow
-    # with the word
-    m = automaton_to_machine(zeros_ones_automaton())
-    walk = execution._exact_walk
-    ratio = {}
-    for n in (8, 32):
-        counts = Counter()
-        _count_calls(monkeypatch, MSet, "intersect", counts)
+    # an extend that intersected every word edge would make this ratio
+    # grow with the word.  The second machine's runs branch on every
+    # letter and meet again after two: kept apart, they would fire some
+    # 2^(n/2) arrows and run out of the budget at 32 letters
+    branching = MultiheadAutomaton(
+        1, ["init", "s", "a", "b", "accept", "reject"],
+        [Transition(("*",), "init", 1, IN, "s"), Transition(("*",), "s", 1, IN, "accept")]
+        + [Transition((c,), p, 1, IN, q) for c in "01"
+           for p, q in (("s", "a"), ("s", "b"), ("a", "s"), ("b", "s"))])
+    extend = _ExactGraph.extend
+    for a, word in ((zeros_ones_automaton(), lambda n: "0" * (n // 2) + "1" * (n // 2)),
+                    (branching, lambda n: "01" * (n // 2))):
+        m = automaton_to_machine(a)
+        ratio = {}
+        for n in (8, 32):
+            counts = Counter()
+            _count_calls(monkeypatch, MSet, "intersect", counts)
 
-        def counted_walk(*args):
-            steps, truncated = walk(*args)
-            counts["arrows"] += len(steps)
-            return steps, truncated
-        monkeypatch.setattr(execution, "_exact_walk", counted_walk)
-        rep = representation("0" * (n // 2) + "1" * (n // 2))
-        _plug_general(m.graphing, rep, DEFAULT_PSI.interface_mset(), 10 ** 12, None)
-        monkeypatch.undo()
-        ratio[n] = Fraction(counts["intersect"], counts["arrows"])
-    assert ratio[32] <= ratio[8]
+            def counted_extend(self, walk):
+                for fired in extend(self, walk):
+                    counts["arrows"] += 1
+                    yield fired
+            monkeypatch.setattr(_ExactGraph, "extend", counted_extend)
+            _exact_plug(m.graphing, representation(word(n)), DEFAULT_PSI.interface_mset(),
+                        cap=10 ** 4)
+            monkeypatch.undo()
+            ratio[n] = Fraction(counts["intersect"], counts["arrows"])
+        assert ratio[32] <= ratio[8]
 
 
 def _grid_box(rng, cg, blk):
@@ -761,13 +804,27 @@ def test_env_cap_applies(monkeypatch, conveyor, doubler):
         alternating_paths(conveyor, doubler, max_len=10 ** 6)
 
 
+@given(random_automata(compilable=True))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_generated_machines_decide_and_plug_alike_on_both_graphs(a):
+    # runs branch and may come back to one configuration; a plug covers
+    # what they reach once on either graph
+    m = automaton_to_machine(a)
+    doc = a.to_json()
+    cut = DEFAULT_PSI.interface_mset()
+    for w in all_words(2):
+        assert accepts(m, w) == co_accepts(a, w) == ref_co_accepts(doc, w), w
+        rep = representation(w)
+        found, _truncated = _exact_plug(m.graphing, rep, cut)
+        assert equivalent(plug(m.graphing, rep, cut), _composite(m.graphing, rep, cut, found)), w
+
+
 def test_a_run_moving_in_forever_plugs_to_nothing():
     # every state of this one-head automaton moves In forever: its walks
-    # reach the cells they were at with the same map and weight again, and
-    # the cell route keeps such cells once, so the plug closes off with no
-    # composite edge; the exact route, one queue entry per path, does not
-    # close off.  This records what the cell route's deduplication does
-    # here, for the decision on walks that meet.
+    # come back to the points they were at with the same node, map and
+    # weight, and a plug covers each of those once, so on both graphs it
+    # closes off with no composite edge, the exact one well within 1,000
+    # arrows fired
     a = MultiheadAutomaton(1, ["init", "s", "accept", "reject"],
                            [Transition(("*",), "init", 1, IN, "s")]
                            + [Transition((c,), "s", 1, IN, "s") for c in "*01"])
@@ -775,7 +832,8 @@ def test_a_run_moving_in_forever_plugs_to_nothing():
     cut = DEFAULT_PSI.interface_mset()
     for w in ("", "1", "10", "0110"):
         rep = representation(w)
-        assert plug(m.graphing, rep, cut, cap=10 ** 6).edges == (), w
-        with pytest.raises(NonTerminating):
-            _plug_general(m.graphing, rep, cut, 1000, None)
+        cells = plug(m.graphing, rep, cut, cap=10 ** 6)
+        found, truncated = _exact_plug(m.graphing, rep, cut, cap=1000)
+        assert cells.edges == () and found == [] and not truncated, w
+        assert equivalent(cells, _composite(m.graphing, rep, cut, found)), w
         assert accepts(m, w), w
