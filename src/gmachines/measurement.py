@@ -13,10 +13,17 @@ and measure mu under a circuit of dilation a adds
 mu * sum_{n >= 1} gcd(n, rho)/rho * a^lcm(n, rho) over the circuit's
 powers, one sum over the squarefree divisors of rho in closed form.  A
 geometric bound on the tail, which does not depend on the circuits,
-fixes the length once; one DFS over label sequences, each carrying its
+fixes the length once.  One DFS over label sequences, each carrying its
 composed map (as grid integers), weight and the grid boxes its walks are
-at, lists the circuits, whose orbits come from the walks of their first
-live rotation.  The exact search still runs cell by cell.
+at, lists the circuits.  For the sum it walks only the sequences that
+start at their least label, as Johnson's circuit enumeration roots each
+circuit at its least vertex.  That loses nothing: every cell of a closed orbit walks
+every rotation of its circuit, so the least rotation is walked, and
+rotating a circuit keeps its length, primitivity, state closure and the
+period, measure, dilation and flag of its closed orbits (the conjugate
+maps have one order); a circuit whose least rotation no cell walks has
+only open orbits, which add nothing.  `circuits` lists every circuit up
+to rotation.  The exact search still runs cell by cell.
 
 The decision procedure at the bottom runs a project against the answer
 test and reads the verdict off their orthogonality.
@@ -200,10 +207,7 @@ def _canonical_rotation(labels: tuple) -> tuple[tuple, int]:
 
 def _is_power(labels: tuple) -> bool:
     n = len(labels)
-    for d in range(1, n):
-        if n % d == 0 and labels[:d] * (n // d) == labels:
-            return True
-    return False
+    return any(n % d == 0 and labels[:d] * (n // d) == labels for d in range(1, n))
 
 
 def _orbits(starts: dict, composed: TransformationDescriptor,
@@ -253,7 +257,7 @@ def circuits(f: GraphingRep, g: GraphingRep, max_len: int = 8,
     return _circuits(cell_decompose([f, g]), max_len, expansion_cap(cap))
 
 
-def _circuits(cg: CellGraph, max_len: int, budget: int) -> list[Circuit]:
+def _circuits(cg: CellGraph, max_len: int, budget: int, least: bool = False) -> list[Circuit]:
     """`circuits` on the cell graph of the pair.  One DFS over label
     sequences reads it all off: each is a walk (`CellGraph.seeds`,
     `CellGraph.extend`), carrying its composed map as grid integers, its
@@ -261,13 +265,21 @@ def _circuits(cg: CellGraph, max_len: int, budget: int) -> list[Circuit]:
     counts the cells they hold.  The walks of the first live rotation are
     its start map, read off its boxes through the inverse map
     (`CellGraph.walks`).  The map becomes a descriptor, and the weight a
-    Weight, only for the circuits returned."""
+    Weight, only for the circuits returned.
+
+    With least, only the sequences whose first label is their least are
+    walked: the DFS seeds from side 0, since a circuit alternates sides
+    and labels are (side, k), and extends side 0 only by edges k at
+    least the first label's; side 1's labels pass unfiltered.  Each
+    circuit then comes as its first walked rotation from the least one,
+    which is the least one itself whenever it has a closed orbit, and a
+    circuit no cell walks from a least label is left out."""
     # least canon -> (offset, integer map, dilation, flag, boxes reached)
     # of its first rotation that some cell walks; keeping the walk, node
     # and all, ran half again as many garbage collections per search
     found: dict[tuple, tuple] = {}
     held = 0
-    stack = [(((side, k),), walk) for side, k, walk in cg.seeds()]
+    stack = [(((side, k),), walk) for side, k, walk in cg.seeds() if not least or side == 0]
     while stack:
         labels, walk = stack.pop()
         node, imap, a, flag, boxes = walk
@@ -282,8 +294,8 @@ def _circuits(cg: CellGraph, max_len: int, budget: int) -> list[Circuit]:
             if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
                 found[canon] = (offset, imap, a, flag, boxes)
         if len(labels) < max_len:
-            for k, nxt in cg.extend(walk):
-                stack.append((labels + ((turn, k),), nxt))
+            low = labels[0][1] if least and turn == 0 else 0
+            stack += [(labels + ((turn, k),), nxt) for k, nxt in cg.extend(walk) if k >= low]
     vol = cg.cell_volume()
     out = []
     # circuits share few weights: each is built once
@@ -370,7 +382,7 @@ def measure_graphings(f: GraphingRep, g: GraphingRep, mode: str = "exact",
             raise IterationCapExceeded(
                 "series enumeration length escalated beyond 4096")
     total = Fraction(0)
-    for circ in _circuits(cg, length, expansion_cap(cap)):
+    for circ in _circuits(cg, length, expansion_cap(cap), least=True):
         for orb in circ.orbits:
             if orb.closed:
                 total += _orbit_series(circ.weight.a, circ.weight.flag,

@@ -164,6 +164,29 @@ def random_rigid_pair(rng, grid=3, bound=2, blocks=(0, 1, 2), edges_each=4,
     return one_graphing(), one_graphing()
 
 
+def reweighted(h, dilation):
+    """h with edge k's dilation set to dilation(k), flags kept."""
+    return GraphingRep(h.support, h.dialect_size, [
+        Edge(e.source, e.in_state, e.out_state, e.mapd, Weight(dilation(k), e.weight.flag))
+        for k, e in enumerate(h.edges)])
+
+
+def series_shaped_pairs(rng):
+    """Bound-0 pairs of the series benchmark's shapes, blocks drawn by rng:
+    the one-block loop pair, and pairs with one (cycle) or two (branch)
+    block translations leaving each block on each side."""
+    half = Weight(Fraction(1, 2), 1)
+    pairs = [(GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, half)]),
+              GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, Weight(Fraction(1, 2)))]))]
+    for blocks, per in ((3, 1), (4, 1), (3, 2), (4, 2)):
+        def one_side():
+            return GraphingRep(seg(0, blocks), 1, [
+                line_edge(b, b + 1, 1, t - b, Weight(Fraction(1, 32), rng.randrange(2)))
+                for b in range(blocks) for t in rng.sample(range(blocks), per)])
+        pairs.append((one_side(), one_side()))
+    return pairs
+
+
 def odometer(k, reject_ones=False):
     """A k-head automaton that counts like an odometer whose digits are
     head positions, the marker being 0.  Head 1 sweeps the tape; each time

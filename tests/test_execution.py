@@ -24,7 +24,8 @@ from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import MSet, equal_ae, measure
 from gmachines.words import DEFAULT_PSI, representation, word_graphing
 
-from conftest import line_edge, odometer, random_automata, random_rigid_pair, seg
+from conftest import (line_edge, odometer, random_automata, random_rigid_pair, reweighted, seg,
+                      series_shaped_pairs)
 from oracles import (all_words, brute_paths, brute_plug, image, ref_arrows, ref_cells,
                      ref_co_accepts, ref_edges_from, ref_plug, ref_source_lists)
 
@@ -249,6 +250,16 @@ def _route_inputs(winding_machine, tape_loop_machine):
         f = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(0, 1, 2, 3), wide=True)[0]
         g = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(1, 2), wide=True)[1]
         yield f, g, seg(1, 3), 6
+    # dilations below 1, which a walk multiplies in edge by edge
+    for i in range(6):
+        f = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(0, 1, 2, 3), wide=True)[0]
+        g = random_rigid_pair(rng, grid=(3, 4)[i % 2], blocks=(1, 2), wide=True)[1]
+        yield (reweighted(f, lambda k: Fraction(1, 2 + k % 2)),
+               reweighted(g, lambda k: Fraction(1 + k % 2, 3)), seg(1, 3), 6)
+    parity = reweighted(automaton_to_machine(parity_automaton()).graphing,
+                        lambda k: Fraction(1, 1 + k % 3))
+    for w in ("01", "0110"):
+        yield parity, representation(w), cut, None
 
 
 def test_plugging_routes_agree(winding_machine, tape_loop_machine):
@@ -487,22 +498,6 @@ def test_any_state_index_and_extend_chain():
                 assert list(got) == sorted(want)
 
 
-def _series_shaped_pairs(rng):
-    """Bound-0 pairs of the series benchmark's shapes, blocks drawn by rng:
-    the one-block loop pair, and pairs with one (cycle) or two (branch)
-    block translations leaving each block on each side."""
-    half = Weight(Fraction(1, 2), 1)
-    pairs = [(GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, half)]),
-              GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0, Weight(Fraction(1, 2)))]))]
-    for blocks, per in ((3, 1), (4, 1), (3, 2), (4, 2)):
-        def one_side():
-            return GraphingRep(seg(0, blocks), 1, [
-                line_edge(b, b + 1, 1, t - b, Weight(Fraction(1, 32), rng.randrange(2)))
-                for b in range(blocks) for t in rng.sample(range(blocks), per)])
-        pairs.append((one_side(), one_side()))
-    return pairs
-
-
 def _assert_arrows_match_sources(cg):
     """fire against ref_edges_from on every side, for state None and
     every state of the side's dialect, at every cell of the blocks the
@@ -538,7 +533,7 @@ def test_arrows_match_the_source_cells():
         f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], dialect=(2, 3)[i % 2],
                                  blocks=(0, 1, 2, 3), edges_each=5, wide=True)
         _assert_arrows_match_sources(cell_decompose([f, g]))
-    for f, g in _series_shaped_pairs(rng):
+    for f, g in series_shaped_pairs(rng):
         cg = cell_decompose([f, g])
         assert cg.N == 0
         _assert_arrows_match_sources(cg)
@@ -684,10 +679,7 @@ def test_integer_maps_match_the_descriptors():
         f, g = random_rigid_pair(rng, grid=(3, 4)[i % 2], bound=3, perms=perms,
                                  blocks=(0, 1, 2, 3), wide=i % 2 == 1)
         # every other edge halves the dilation
-        f, g = (GraphingRep(h.support, h.dialect_size, [
-            Edge(e.source, e.in_state, e.out_state, e.mapd,
-                 Weight(Fraction(1, 1 + k % 2), e.weight.flag)) for k, e in enumerate(h.edges)])
-                for h in (f, g))
+        f, g = (reweighted(h, lambda k: Fraction(1, 1 + k % 2)) for h in (f, g))
         cg = cell_decompose([f, g])
         edges = (f.edges, g.edges)
         # (labels, composed descriptor, dilation, flag, {start cell: the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 import random
 import time
 
@@ -18,11 +19,11 @@ from gmachines.machines import accepts, compute
 from gmachines.measurement import (INF, SymValue, circuits,
                                    decide_against_test, measure_graphings,
                                    measure_projects, orthogonal, t_minus)
-from gmachines.microcosm import TransformationDescriptor
+from gmachines.microcosm import Perm, TransformationDescriptor
 from gmachines.space import equal_ae
 from gmachines.words import DEFAULT_PSI
 
-from conftest import line_edge, random_rigid_pair, seg
+from conftest import line_edge, random_rigid_pair, reweighted, seg, series_shaped_pairs
 from oracles import (image, ref_compose, ref_edges_from, ref_first_live_rotation,
                      ref_flagged_circuit, ref_series, ref_source_lists)
 
@@ -105,9 +106,7 @@ def test_series_matches_the_definition_on_random_pairs():
     rng = random.Random(4)
     periods = []
     for i in range(12):
-        f, g = (GraphingRep(h.support, h.dialect_size, [
-            Edge(e.source, e.in_state, e.out_state, e.mapd,
-                 Weight(Fraction(1, 8), e.weight.flag)) for e in h.edges])
+        f, g = (reweighted(h, lambda k: Fraction(1, 8))
                 for h in random_rigid_pair(rng, flag_rate=0.6))
         value = measure_graphings(f, g, mode="series")
         ref, tail = ref_series(cell_decompose([f, g]), 8)
@@ -116,6 +115,102 @@ def test_series_matches_the_definition_on_random_pairs():
             periods += [o.period for c in circuits(f, g, max_len=8)
                         if c.weight.flag for o in c.orbits if o.closed]
     assert sorted(set(periods)) == [1, 2, 6], periods
+
+
+def _listing_lengths(monkeypatch) -> list:
+    """The max_len of every circuit listing from now on, in call order."""
+    lengths = []
+    real = measurement._circuits
+
+    def listing(cg, max_len, *args, **kwargs):
+        lengths.append(max_len)
+        return real(cg, max_len, *args, **kwargs)
+    monkeypatch.setattr(measurement, "_circuits", listing)
+    return lengths
+
+
+def _listed_sum(f, g, max_len) -> Fraction:
+    """The closed orbits of every circuit `circuits` lists, summed."""
+    return sum((measurement._orbit_series(c.weight.a, c.weight.flag, o.period, o.measure)
+                for c in circuits(f, g, max_len=max_len, cap=10**6) for o in c.orbits if o.closed),
+               Fraction(0))
+
+
+def test_series_sums_the_closed_orbits_of_every_circuit(monkeypatch):
+    # the series walks only the label sequences that start at their least
+    # label; it must still sum the closed orbits of every circuit that the
+    # full listing gives at the length it certified.  A loose tolerance
+    # keeps that length at 16 or below
+    lengths = _listing_lengths(monkeypatch)
+    rng = random.Random(2611)
+    perms = [Perm(), Perm({1: 2, 2: 1}), Perm({1: 2, 2: 3, 3: 1}), Perm({1: 3, 2: 1, 3: 2})]
+    # one dialect state and four edges a side branch too much to list in time
+    shapes = [dict(dialect=1, edges_each=3), dict(dialect=2), dict(dialect=3),
+              dict(wide=True), dict(bound=3, perms=perms)]
+    pairs = []
+    for i in range(200):
+        a = (Fraction(1, 8), Fraction(1, 16))[i % 2]
+        # about a third of the edges halved
+        pairs.append([reweighted(h, lambda k: a / rng.choice((1, 1, 2)))
+                      for h in random_rigid_pair(rng, flag_rate=0.6, **shapes[i % 5])])
+    pairs += series_shaped_pairs(rng)
+    nonzero = 0
+    for i, (f, g) in enumerate(pairs):
+        value = measure_graphings(f, g, mode="series", tol=Fraction(1, 2**10), cap=10**6)
+        assert value == _listed_sum(f, g, lengths[-1]), i
+        nonzero += value != 0
+    assert nonzero >= 50 and set(lengths) >= {8, 16}, (nonzero, set(lengths))
+
+
+def _branching_loops(flags=(1, 0)):
+    """f: two identity loops on [0,1) with the given flags; g: one
+    unflagged identity loop; every dilation 1/8."""
+    e = Fraction(1, 8)
+    f = GraphingRep(seg(0, 1), 1, [_loop(a=e, flag=x).edges[0] for x in flags])
+    return f, _loop(a=e, flag=0)
+
+
+def test_series_of_branching_loops_sums_lyndon_words():
+    # the row norm is 1/4, so the series certifies at length 16.  A circuit
+    # is a binary Lyndon word of m <= 8 f-steps, each followed by g's loop,
+    # less the unflagged word of length 1; its one closed orbit has period
+    # 1 and measure 1, and it weighs y = (1/8)^(2m), so it adds y/(1 - y).
+    # The least label repeats in most of these words
+    def lyndon(m):
+        return sum(all(w < w[i:] + w[:i] for i in range(1, m))
+                   for w in product((0, 1), repeat=m))
+    want = sum(((lyndon(m) - (m == 1)) * Fraction(1, 8**(2 * m)) / (1 - Fraction(1, 8**(2 * m)))
+                for m in range(1, 9)), Fraction(0))
+    assert want == Fraction(6971102994341729845208743214987274782,
+                            432315658368702513309655724038633492155)
+    for flags in ((1, 0), (0, 1)):
+        f, g = _branching_loops(flags)
+        assert measure_graphings(f, g, mode="series") == want, flags
+        assert measure_graphings(g, f, mode="series") == want, flags
+
+
+def test_series_walks_a_third_of_what_the_listing_walks(monkeypatch):
+    # work, not time: the calls to CellGraph.extend
+    lengths = _listing_lengths(monkeypatch)
+    calls = []
+    extend = CellGraph.extend
+    monkeypatch.setattr(CellGraph, "extend",
+                        lambda self, walk: calls.append(walk) or extend(self, walk))
+    f, g = series_shaped_pairs(random.Random(3))[-1]
+    assert measure_graphings(f, g, mode="series") > 0
+    walked = len(calls)
+    calls.clear()
+    circuits(f, g, max_len=lengths[-1], cap=10**6)
+    assert 3 * walked <= len(calls), (walked, len(calls))
+
+
+def test_series_budget_counts_the_cells_of_least_rotations():
+    # the budget counts the cells of the walks the search holds, which
+    # start at their least label
+    f, g = _branching_loops()
+    assert measure_graphings(f, g, mode="series", cap=526) > 0
+    with pytest.raises(IterationCapExceeded):
+        measure_graphings(f, g, mode="series", cap=525)
 
 
 def test_series_needing_more_than_4096_raises_before_enumerating():
