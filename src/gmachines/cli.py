@@ -286,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # an exact value prints in full, past Python's default of 4,300
+        # digits for int-to-string conversion
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.fn](args)

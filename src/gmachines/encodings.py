@@ -29,7 +29,7 @@ from math import factorial
 from .automata import (HALTING, IN, MARKER, MultiheadAutomaton, OUT,
                        Transition, successors)
 from .errors import MalformedHalt, NotEssential
-from .execution import cell_decompose, walk_counts
+from .execution import FREE, cell_decompose, walk_counts
 from .graphings import Edge, GraphingRep, ONE
 from .machines import Machine, _is_star
 from .microcosm import Perm, TransformationDescriptor
@@ -342,25 +342,28 @@ def _run_label(tr) -> str:
 def _run_to_path(tr, root, cg, prov, init_tag: int):
     """The alternating path a run drives from the given start cell.
 
-    Each transition takes the one machine arrow leaving the current cell
-    at the current dialect tag whose edge was emitted for it; between
-    transitions the word side must offer exactly one arrow.  Returns
-    (path, reason), with path None when a choice is missing or not unique.
+    One walk from the root takes the run's steps: each transition takes
+    the one machine arrow chaining at the current dialect tag whose edge
+    was emitted for it; between transitions the word side, whose dialect
+    is the one state 0, must offer exactly one arrow.  Returns (path,
+    reason), with path None when a choice is missing or not unique.
     """
     path = []
-    cell = root
-    tag = init_tag
+    walk = cg.root(root, (((None, init_tag), (None, 0)), 0))
     for step, t in enumerate(tr):
-        hits = [hit for hit in cg.fire(0, tag, cell) if prov[hit[0]] == t]
+        hits = [hit for hit in cg.extend(walk) if prov[hit[0]] == t]
         if len(hits) != 1:
             return None, f"step {step + 1}: {len(hits)} machine edges chain"
-        ((j, tag, cell),) = hits
+        ((j, walk),) = hits
         path.append((0, j))
         if step + 1 < len(tr):
-            hops = cg.fire(1, 0, cell)
+            hops = list(cg.extend(walk))
             if len(hops) != 1:
+                # a rigid map sends a cell to one cell
+                ((blk, _hi, ranges),) = walk[4]
+                cell = (blk, tuple([a for a, _z in ranges]))
                 return None, f"step {step + 1}: {len(hops)} word moves at {cell}"
-            ((k, _out, cell),) = hops
+            ((k, walk),) = hops
             path.append((1, k))
     return tuple(path), ""
 
@@ -414,7 +417,7 @@ def trace_path_correspondence(a: MultiheadAutomaton, w: str, max_steps: int,
             seen[path] = tr
             mapped[len(tr)] = mapped.get(len(tr), 0) + 1
         # the machine side fires first, from the root
-        seeds = (walk for _k, walk in cg.extend(cg.root(root, 0)))
+        seeds = (walk for _k, walk in cg.extend(cg.root(root, (FREE, 0))))
         by_len = walk_counts(cg, seeds, 2 * max_steps - 1)
         paths = {(ln + 1) // 2: c for ln, c in by_len.items() if ln % 2}
         for i in range(1, max_steps + 1):

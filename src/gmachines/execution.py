@@ -169,44 +169,31 @@ def _meet(box: GridBox, other: GridBox) -> GridBox | None:
 
 def _split(boxes: list, others) -> tuple[list, list]:
     """Grid boxes cut by others: (the parts inside a box of others, the
-    disjoint parts outside them all).  A box that meets another is cut,
-    along the line and then along each coordinate, into the part they
-    share and at most two parts either side of it on that axis.  The
-    parts inside are disjoint when the boxes of others are."""
+    disjoint parts outside them all).  A box that meets another is cut
+    around the part they share (`_meet`), along the line and then along
+    each coordinate, into at most two parts either side of it on that
+    axis.  The parts inside are disjoint when the boxes of others are."""
     inside = []
-    for olo, ohi, ors in others:
+    for other in others:
         out = []
         for b in boxes:
-            lo, hi, rs = b
-            if ohi <= lo or hi <= olo:
+            mid = _meet(b, other)
+            if mid is None:
                 out.append(b)
                 continue
-            # the ranges the two boxes share, coordinate by coordinate
-            mids = []
-            for (a, z), (c, d) in zip(rs, ors):
-                if c > a:
-                    a = c
-                if d < z:
-                    z = d
-                if a >= z:
-                    out.append(b)
-                    break
-                mids.append((a, z))
-            else:
-                if lo < olo:
-                    out.append((lo, olo, rs))
-                    lo = olo
-                if ohi < hi:
-                    out.append((ohi, hi, rs))
-                    hi = ohi
-                mids = tuple(mids)
-                if mids != rs:
-                    for i, ((a, z), (x, y)) in enumerate(zip(rs, mids)):
-                        if a < x:
-                            out.append((lo, hi, (*mids[:i], (a, x), *rs[i + 1:])))
-                        if y < z:
-                            out.append((lo, hi, (*mids[:i], (y, z), *rs[i + 1:])))
-                inside.append((lo, hi, mids))
+            lo, hi, rs = b
+            mlo, mhi, mids = mid
+            if lo < mlo:
+                out.append((lo, mlo, rs))
+            if mhi < hi:
+                out.append((mhi, hi, rs))
+            if mids != rs:
+                for i, ((a, z), (x, y)) in enumerate(zip(rs, mids)):
+                    if a < x:
+                        out.append((mlo, mhi, (*mids[:i], (a, x), *rs[i + 1:])))
+                    if y < z:
+                        out.append((mlo, mhi, (*mids[:i], (y, z), *rs[i + 1:])))
+            inside.append(mid)
         boxes = out
     return inside, boxes
 
@@ -230,15 +217,16 @@ class CellGraph:
     or integers once.  A rigid map sends a box to at most 2^N boxes: the
     moves reorder the ranges and a shift splits a range at most once, at
     the wrap (`images`).  A walk is (node, integer map, dilation, flag,
-    grid boxes); `seeds` starts one per edge, `root` one at a cell, and
-    `extend` takes a walk one edge further, composing that edge's integer
-    map, dilation and flag onto it; `fire` takes a single cell one edge
-    further.  A group's start cells are the inverse map of its boxes
-    (`walks`), and a map becomes a descriptor only to read a result out
-    (`descriptor`, once per map).  `arrows` is the one place that tries
-    edges on a box: it returns the edges firing there with the boxes they
-    send it to, found by slab lookup (`_listed`); `landings` asks the
-    same lookup where an edge's image meets the other side's sources.
+    grid boxes); `seeds` starts one per edge, `root` one at a cell and a
+    node, and `extend` takes a walk one edge further, composing that
+    edge's integer map, dilation and flag onto it: every cell search
+    steps this one way.  A group's start cells are the inverse map of its
+    boxes (`walks`), and a map becomes a descriptor only to read a result
+    out (`descriptor`, once per map).  `arrows` is the one place that
+    tries edges on boxes: it returns the edges firing on a walk's boxes
+    with the boxes they send them to, found by slab lookup (`_listed`);
+    `landings` asks the same lookup where an edge's image meets the other
+    side's sources.
     Per side, block and in-state (and under in-state None for a side that
     may bind any), coordinate 1 is cut at every endpoint of the source
     boxes there, each slab listing the source boxes covering it
@@ -460,22 +448,23 @@ class CellGraph:
         # a source box listed on several slabs is tried once
         return sorted({p for ps in slabs for p in ps})
 
-    def arrows(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, list]]:
-        """The edges of one side firing on a box from a dialect state, as
-        (edge, the boxes its part of the box goes to) in edge order; state
-        None admits every in-state.  Only the source boxes `_listed` for
-        the box are intersected with it."""
+    def arrows(self, side: int, state: int | None, boxes) -> list[tuple[int, list]]:
+        """The edges of one side firing on a walk's boxes from a dialect
+        state, as (edge, the boxes its part of them goes to, in box order)
+        in edge order; state None admits every in-state.  Only the source
+        boxes `_listed` for a box are intersected with it."""
         rules = self._edges[side]
-        out: list = []
-        for k, src in self._listed(side, state, box):
-            piece = _meet(box, src)
-            if piece is not None:
-                imgs = self.images(rules[k][1], piece)
-                if out and out[-1][0] == k:
-                    out[-1][1].extend(imgs)
-                else:
-                    out.append((k, imgs))
-        return out
+        moved: dict[int, list] = {}
+        for box in boxes:
+            for k, src in self._listed(side, state, box):
+                piece = _meet(box, src)
+                if piece is not None:
+                    imgs = self.images(rules[k][1], piece)
+                    if k in moved:
+                        moved[k] += imgs
+                    else:
+                        moved[k] = imgs
+        return sorted(moved.items())
 
     def landings(self, side: int, k: int, state: int) -> dict[Cell, Cell]:
         """{start cell: cell} over the cells edge k of one side sends into a
@@ -488,10 +477,11 @@ class CellGraph:
 
     # -- walks: (node, integer map, dilation, flag, grid boxes) ------------
 
-    def root(self, cell: Cell, turn: int) -> tuple:
-        """The walk of no edges at one cell, side turn to fire first."""
+    def root(self, cell: Cell, node) -> tuple:
+        """The walk of no edges at one cell, at node (dialect pair, side
+        to fire)."""
         blk, cube = cell
-        return ((FREE, turn), (0, tuple([(c, 0) for c in range(self.N)])), 1, 0,
+        return (node, (0, tuple([(c, 0) for c in range(self.N)])), 1, 0,
                 [(blk, blk + 1, tuple([(x, x + 1) for x in cube]))])
 
     def seeds(self, cut=()):
@@ -514,37 +504,14 @@ class CellGraph:
         ORs in its flag."""
         node, (offset, bm), a, flag, boxes = walk
         st, turn = node
-        state = st[turn][1]
-        if len(boxes) == 1:
-            fired = self.arrows(turn, state, boxes[0])
-        else:
-            moved: dict[int, list] = {}
-            for box in boxes:
-                for k, imgs in self.arrows(turn, state, box):
-                    if k in moved:
-                        moved[k] += imgs
-                    else:
-                        moved[k] = imgs
-            fired = sorted(moved.items())
         edges = self.gs[turn].edges
         rules = self._edges[turn]
         n = self.n
-        for k, imgs in fired:
+        for k, imgs in self.arrows(turn, st[turn][1], boxes):
             _src, (eoff, emoves), dil, eflag = rules[k]
             yield k, ((_chain(st, turn, edges[k]), 1 - turn),
                       (eoff + offset, tuple([(bm[j][0], (bm[j][1] + s) % n) for j, s in emoves])),
                       a if dil == 1 else a * dil, flag | eflag, imgs)
-
-    def fire(self, side: int, state: int | None, cell: Cell) -> list[tuple[int, int, Cell]]:
-        """The edges of one side firing at a cell from a dialect state, in
-        order, as (k, out-state, image cell); state None admits every
-        in-state.  A shift moves a one-cell box without wrapping it, so
-        each edge sends the cell to one box."""
-        blk, cube = cell
-        edges = self.gs[side].edges
-        return [(k, edges[k].out_state, (img[0], tuple([x for x, _z in img[2]])))
-                for k, (img,) in self.arrows(side, state,
-                                              (blk, blk + 1, tuple([(x, x + 1) for x in cube])))]
 
 
 def cell_decompose(gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()) -> CellGraph:

@@ -88,11 +88,12 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
     through a flagged arrow in the finite graph on (cell, side to fire,
     state of either side).  The idle side's state stays put; on a circuit
     an arrow of that side entered it and another will leave it, so only
-    live states are carried.  The arcs leaving a node are the edges
-    firing at its cell (`CellGraph.fire`).  A flagged arrow u -> v lies on
-    a cycle exactly when v reaches u, so one Tarjan pass from the flagged
-    targets decides, expanding only what they reach; the budget counts
-    the arcs it expands.
+    live states are carried.  The arcs leaving a node are the walks one
+    edge takes a walk rooted at its cell and node to (`CellGraph.root`,
+    `CellGraph.extend`).  A flagged arrow u -> v lies on a cycle exactly
+    when v reaches u, so one Tarjan pass from the flagged targets decides,
+    expanding only what they reach; the budget counts the arcs it
+    expands.
 
     A target is a root only where it has a successor: every successor of
     v fires on the other side, from the idle state, so v is taken only at
@@ -117,12 +118,15 @@ def _exists_flagged_circuit(f: GraphingRep, g: GraphingRep,
         nonlocal arcs
         cell, turn, state, idle = node
         if idle in live[1 - turn]:
-            for _k, out, img in cg.fire(turn, state, cell):
+            now, still = (None, state), (None, idle)
+            root = cg.root(cell, ((now, still) if turn == 0 else (still, now), turn))
+            # a rigid map sends a cell to one cell
+            for _k, ((st, _turn), _imap, _a, _flag, ((blk, _hi, ranges),)) in cg.extend(root):
                 arcs += 1
                 if arcs > budget:
                     raise IterationCapExceeded(
                         f"circuit search grew past {budget} arrows")
-                yield img, 1 - turn, idle, out
+                yield (blk, tuple([a for a, _z in ranges])), 1 - turn, idle, st[turn][1]
 
     flagged = [((start, side, e.in_state, idle), (cell, 1 - side, idle, e.out_state))
                for side, h in enumerate((f, g))

@@ -1,13 +1,15 @@
 """Command line round trips; everything goes through main()."""
 
 import copy
+from fractions import Fraction
 import json
 import re
+import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from gmachines import cli
+from gmachines import cli, measurement
 from gmachines.automata import (MultiheadAutomaton, parity_automaton,
                                 zeros_ones_automaton)
 from gmachines.encodings import automaton_to_machine
@@ -445,6 +447,24 @@ def test_series_skips_an_empty_source_edge(capsys, tmp_path):
     right.write_text(json.dumps(GraphingRep(seg(0, 1), 1, [loop]).to_json()))
     assert run(capsys, "measure", str(left), str(right), "--mode", "series") == \
         (0, "1/3\n", "")
+
+
+def test_measure_prints_a_value_of_any_size(capsys, monkeypatch, tmp_path):
+    # 5,001 digits, past Python's default limit of 4,300 for int-to-string
+    # conversion, which main lifts from wherever it stands
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(GraphingRep(seg(0, 1), 1, [line_edge(0, 1, 1, 0)]).to_json()))
+    monkeypatch.setattr(measurement, "measure_graphings",
+                        lambda *args, **kwargs: Fraction(1, 10 ** 5000))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "measure", str(path), str(path))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, "1/1" + "0" * 5000 + "\n", "")
 
 
 def test_psi_flag_changes_nothing_observable(capsys):

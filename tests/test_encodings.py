@@ -3,20 +3,22 @@
 import math
 import sys
 
+from hypothesis import given, settings
 import pytest
 
 from gmachines.automata import (MultiheadAutomaton, co_accepts, language_a,
-                                parity_automaton, zeros_ones_automaton)
-from gmachines.encodings import (automaton_to_machine, family_counts,
-                                 machine_to_automaton,
+                                parity_automaton, successors, zeros_ones_automaton)
+from gmachines.encodings import (_compile, _run_to_path, automaton_to_machine,
+                                 family_counts, machine_to_automaton,
                                  trace_path_correspondence)
 from gmachines.errors import MalformedHalt, NotEssential
+from gmachines.execution import cell_decompose
 from gmachines.graphings import Edge, GraphingRep
 from gmachines.machines import Machine, essentialize, language_m
 from gmachines.microcosm import TransformationDescriptor
-from gmachines.words import DEFAULT_PSI, IN, OUT
+from gmachines.words import DEFAULT_PSI, IN, OUT, representation
 
-from conftest import _move
+from conftest import _move, random_automata
 from oracles import all_words
 
 
@@ -208,6 +210,50 @@ def test_round_trip_preserves_language(parity, zeros_ones):
                 essentialize(automaton_to_machine(a)), mode=mode)
             for w in all_words(4):
                 assert co_accepts(back, w) == co_accepts(a, w), (mode, w)
+
+
+@given(random_automata(compilable=True))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_generated_machines_round_trip_in_both_modes(a):
+    # extraction keeps the language of the compiled machine, and of its
+    # essential form, in either mode.  The compiler's maps on one or two
+    # heads are star transpositions already, which essentialize keeps
+    # edge for edge; an essential form that differs is extracted too
+    m = automaton_to_machine(a)
+    ess = essentialize(m)
+    words = all_words(3)
+    want = [co_accepts(a, w) for w in words]
+    for machine in (m,) if ess.graphing.edges == m.graphing.edges else (m, ess):
+        for mode in ("preamble", "verbatim"):
+            back = machine_to_automaton(machine, mode=mode)
+            assert [co_accepts(back, w) for w in words] == want, mode
+
+
+def test_run_to_path_names_the_step_that_fails(parity):
+    # the first three steps of parity's run on 01, from the reject block's
+    # root cell; the word's dialect has one state and one coordinate
+    m, prov, init_tag = _compile(parity, DEFAULT_PSI)
+    rep = representation("01")
+    cfg, tr = parity.initial(), ()
+    for _ in range(3):
+        t, cfg = successors(parity, "01", cfg)[0]
+        tr += (t,)
+    root = (DEFAULT_PSI.block("r"), (0,))
+
+    def run(machine, word, prov):
+        return _run_to_path(tr, root, cell_decompose([machine, word]), prov, init_tag)
+
+    assert run(m.graphing, rep, prov) == (((0, 1), (1, 0), (0, 2), (1, 1), (0, 10)), "")
+    # no edge was emitted for any transition, or every edge for the first
+    assert run(m.graphing, rep, [None] * len(prov)) == \
+        (None, "step 1: 0 machine edges chain")
+    assert run(m.graphing, rep, [tr[0]] * len(prov)) == \
+        (None, "step 2: 0 machine edges chain")
+    # every edge listed twice: each step has two arrows
+    twice = GraphingRep(m.graphing.support, m.graphing.dialect_size, m.graphing.edges * 2)
+    assert run(twice, rep, prov * 2) == (None, "step 1: 2 machine edges chain")
+    twice = GraphingRep(rep.support, rep.dialect_size, rep.edges * 2)
+    assert run(m.graphing, twice, prov) == (None, "step 1: 2 word moves at (1, (0,))")
 
 
 def test_correspondence_on_empty_word(parity):

@@ -415,7 +415,10 @@ def test_cell_decompose_word_graphing():
         assert srcs and set(cg.source_cells(0, j)) == srcs
         for c in srcs:
             img = image(cg, 0, j, c)
-            assert (j, e.out_state, img) in cg.fire(0, None, c)
+            fired = {k: (nst[0][1], moved)
+                     for k, ((nst, _turn), _imap, _a, _flag, moved)
+                     in cg.extend(cg.root(c, (execution.FREE, 0)))}
+            assert fired[j] == (e.out_state, [_cell_box(img)])
             assert img != c or e.mapd.is_identity()
 
 
@@ -464,15 +467,14 @@ def test_any_state_index_and_extend_chain():
             sources = [set(cg.source_cells(side, k)) for k in range(len(h.edges))]
             still = (0, tuple((c, 0) for c in range(cg.N)))
             for cell in cells:
-                root = cg.root(cell, side)
+                root = cg.root(cell, (execution.FREE, side))
                 assert root == ((execution.FREE, side), still, 1, 0, [_cell_box(cell)])
                 live = [k for k, src in enumerate(sources) if cell in src]
-                assert [k for k, _out, _img in cg.fire(side, None, cell)] == live
                 assert [k for k, _walk in cg.extend(root)] == live
                 for state in range(h.dialect_size):
                     now = ((state + 1) % h.dialect_size, state)
                     st = (now, idle) if side == 0 else (idle, now)
-                    arrows = list(cg.extend(((st, side), *root[1:])))
+                    arrows = list(cg.extend(cg.root(cell, (st, side))))
                     assert [k for k, _walk in arrows] == \
                         [k for k in live if h.edges[k].in_state == state]
                     for k, ((nst, turn), imap, a, flag, moved) in arrows:
@@ -499,32 +501,41 @@ def test_any_state_index_and_extend_chain():
 
 
 def _assert_arrows_match_sources(cg):
-    """fire against ref_edges_from on every side, for state None and
-    every state of the side's dialect, at every cell of the blocks the
-    sources touch and one block either side; each image is the cell that
-    the edge's map sends the cell's set onto, and each out-state the
-    edge's."""
+    """The walks one edge takes a walk rooted at a cell to against
+    ref_edges_from on every side, for state None and every state of the
+    side's dialect, at every cell of the blocks the sources touch and one
+    block either side; each walk is at one cell, the cell that the edge's
+    map sends the cell's set onto, and each out-state is the edge's."""
     lines = [b.line for h in cg.gs for e in h.edges for b in e.source.boxes]
     blocks = range(min(int(iv.lo) for iv in lines) - 1, max(int(iv.hi) for iv in lines) + 1)
     cubes = list(product(range(cg.n), repeat=cg.N))
     for side, h in enumerate(cg.gs):
         lists = ref_source_lists(cg, side)
-        # (map, cell, image) triples already checked: edges share maps
-        checked = set()
+        # (map, cell) -> the boxes a walk at the cell is sent to, checked
+        # against the map once: edges share maps
+        checked = {}
         for state in (None, *range(h.dialect_size)):
+            # the idle side is free; state None leaves the side to fire free
+            now = (None, state)
+            node = ((now, execution.FREE[1]) if side == 0 else (execution.FREE[0], now), side)
             for blk in blocks:
                 for cube in cubes:
                     cell = (blk, cube)
-                    got = cg.fire(side, state, cell)
-                    assert [k for k, _out, _img in got] == \
+                    got = list(cg.extend(cg.root(cell, node)))
+                    assert [k for k, _walk in got] == \
                         ref_edges_from(cg, side, state, cell, lists), (side, state, cell)
-                    for k, out, img in got:
-                        assert out == h.edges[k].out_state
-                        key = (h.edges[k].mapd, cell, img)
-                        if key not in checked:
-                            assert cg.cell_mset(img) == \
-                                key[0].apply_mset(cg.cell_mset(cell)), (side, k, cell)
-                            checked.add(key)
+                    for k, ((nst, _turn), _imap, _a, _flag, moved) in got:
+                        e = h.edges[k]
+                        assert nst[side][1] == e.out_state
+                        key = (id(e.mapd), cell)
+                        if key in checked:
+                            assert moved == checked[key], (side, k, cell)
+                            continue
+                        img = (moved[0][0], tuple(a for a, _z in moved[0][2]))
+                        assert moved == [_cell_box(img)]
+                        assert cg.cell_mset(img) == \
+                            e.mapd.apply_mset(cg.cell_mset(cell)), (side, k, cell)
+                        checked[key] = moved
 
 
 def test_arrows_match_the_source_cells():
