@@ -7,10 +7,11 @@ out-state, both None while the side has not fired.  The set holds the
 points the walk is at.  One walk runs over two set algebras, each a
 graph with the same interface: `seeds(cut)` fires every edge from the
 free pair on its source less the cut, `extend(walk)` takes a walk one
-edge further (chaining the dialect pair with `_chain`), `count` is what
-a firing costs against the budget, `split(sets, others)` gives the parts
-inside and outside others, and `records` reads the exits out as
-(source, dialect pair, map, weight).
+edge further (chaining the dialect pair with `_chain`) by the edges that
+`_Sources`, the one lookup of both, lists for its set and out-state,
+`count` is what a firing costs against the budget, `split(sets, others)`
+gives the parts inside and outside others, and `records` reads the exits
+out as (source, dialect pair, map, weight).
 
 `_ExactGraph` works for any maps, on rational boxes; a firing counts 1.
 `CellGraph` applies when every map is rigid at some grid: slope one,
@@ -47,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -115,22 +116,50 @@ def _slab_table(items) -> tuple[list, list[list]]:
     return cuts, slabs
 
 
-def _slabs_meeting(table, lo, hi) -> list[list]:
-    """The slabs of a table that meet [lo, hi), in order."""
-    cuts, slabs = table
-    return slabs[max(bisect_right(cuts, lo) - 1, 0):bisect_left(cuts, hi)]
+class _Sources:
+    """Where the edges' sources lie: the one lookup of both graphs.  Each
+    source box is listed, with a payload, per side, in-state and unit
+    block it spans, and again under in-state None, which admits every
+    in-state; each key cuts coordinate 1 at every endpoint of its boxes
+    (`_slab_table`, built the first time a lookup needs it).  A lookup
+    lists what lies on the slabs its range meets: all it lists chains."""
+
+    def __init__(self, spans):
+        # (side, in-state, block) -> (payload, coordinate-1 lo, hi) per box
+        # on the block, from spans (side, in-state, payload, block lo, block
+        # hi, coordinate-1 lo, hi); and each key's table once built
+        self._spans: dict[tuple, list] = {}
+        self._tables: dict[tuple, tuple] = {}
+        for side, state, x, lo, hi, a, z in spans:
+            span = (x, a, z)
+            for blk in range(lo, hi):
+                self._spans.setdefault((side, state, blk), []).append(span)
+                self._spans.setdefault((side, None, blk), []).append(span)
+
+    def listed(self, side: int, state: int | None, lo: int, hi: int, a, z) -> list:
+        """The payloads of one side's boxes that may meet blocks lo..hi-1
+        on coordinate 1 [a, z) from in-state state, in order, each once."""
+        slabs: list = []
+        for blk in range(lo, hi):
+            key = (side, state, blk)
+            table = self._tables.get(key)
+            if table is None:
+                if key not in self._spans:
+                    continue
+                table = self._tables[key] = _slab_table(self._spans[key])
+            cuts, ts = table
+            slabs += ts[max(bisect_right(cuts, a) - 1, 0):bisect_left(cuts, z)]
+        if len(slabs) < 2:
+            return slabs[0] if slabs else []
+        # a source box listed on several slabs is listed once
+        return sorted({x for xs in slabs for x in xs})
 
 
 def _chain(st, side: int, e: Edge):
-    """Fire edge e of one side on a dialect pair: the new pair, or None
-    when e does not chain at that side's current out-state."""
+    """Fire edge e of one side on a dialect pair, where e chains at that
+    side's out-state (any edge while it is None): the new pair."""
     first, out = st[side]
-    if out is None:
-        now = (e.in_state, e.out_state)
-    elif out == e.in_state:
-        now = (first, e.out_state)
-    else:
-        return None
+    now = (e.in_state if out is None else first, e.out_state)
     return (now, st[1]) if side == 0 else (st[0], now)
 
 
@@ -224,17 +253,12 @@ class CellGraph:
     boxes (`walks`), and a map becomes a descriptor only to read a result
     out (`descriptor`, once per map).  `arrows` is the one place that
     tries edges on boxes: it returns the edges firing on a walk's boxes
-    with the boxes they send them to, found by slab lookup (`_listed`);
-    `landings` asks the same lookup where an edge's image meets the other
-    side's sources.
-    Per side, block and in-state (and under in-state None for a side that
-    may bind any), coordinate 1 is cut at every endpoint of the source
-    boxes there, each slab listing the source boxes covering it
-    (`_slab_table`, built on first use); only the source boxes listed on
-    the slabs a box meets are intersected with it.  A firing counts the
-    cells it carries, the volume of its boxes (`cell_count`), so the
-    budget's unit is a cell fired however the cells are boxed; `count`,
-    `split` and `records` are what plugging asks of it, as of
+    with the boxes they send them to, meeting a box only with the source
+    boxes `_Sources` lists for it (`_listed`); `landings` asks the same
+    lookup where an edge's image meets the other side's sources.  A firing
+    counts the cells it carries, the volume of its boxes (`cell_count`),
+    so the budget's unit is a cell fired however the cells are boxed;
+    `count`, `split` and `records` are what plugging asks of it, as of
     `_ExactGraph`.  Built by `cell_decompose`; the grid and the coordinate
     bound are read off the same distinct maps and sets.
     """
@@ -277,11 +301,6 @@ class CellGraph:
         self._edges: list[list[tuple]] = []
         # integer map -> its descriptor, built when a walk's result is read
         self._descs: dict[tuple, TransformationDescriptor] = {}
-        # (side, in-state, block) -> ((edge, source box), coordinate-1
-        # range) per source box on the block; each key's slab table is
-        # built when a lookup first needs it
-        self._spans: dict[tuple[int, int | None, int], list] = {}
-        self._index: dict[tuple[int, int | None, int], tuple] = {}
         # the range a box without coordinates is looked up on coordinate 1
         self._whole = (0, grid)
         fixed = tuple((c, 0) for c in range(bound))
@@ -298,6 +317,7 @@ class CellGraph:
                 moves = tuple(moves)
             imaps[i] = (int(d.offset), moves)
         sources = {i: self.grid_boxes(m, "edge source") for i, m in sets.items()}
+        spans = []
         for side, g in enumerate(self.gs):
             rules = []
             for k, e in enumerate(g.edges):
@@ -306,11 +326,10 @@ class CellGraph:
                 rules.append((boxes, imaps[id(e.mapd)], 1 if a == 1 else a, e.weight.flag))
                 for box in boxes:
                     lo, hi, ranges = box
-                    span = ((k, box), *(ranges[0] if ranges else self._whole))
-                    for blk in range(lo, hi):
-                        for state in (e.in_state, None):
-                            self._spans.setdefault((side, state, blk), []).append(span)
+                    spans.append((side, e.in_state, (k, box), lo, hi,
+                                  *(ranges[0] if ranges else self._whole)))
             self._edges.append(rules)
+        self._sources = _Sources(spans)  # each source box as (edge, box)
 
     # -- geometry of cells -------------------------------------------------
 
@@ -428,25 +447,9 @@ class CellGraph:
 
     def _listed(self, side: int, state: int | None, box: GridBox) -> list[tuple[int, GridBox]]:
         """The (edge, source box) pairs of one side that may meet a box
-        from a dialect state, in edge order: those listed on the
-        coordinate-1 slabs of its keys that the box meets.  State None
-        admits every in-state."""
+        from a dialect state, in edge order (`_Sources`)."""
         lo, hi, ranges = box
-        a, z = ranges[0] if ranges else self._whole
-        slabs: list = []
-        for blk in range(lo, hi):
-            key = (side, state, blk)
-            table = self._index.get(key)
-            if table is None:
-                if key not in self._spans:
-                    continue
-                table = self._index[key] = _slab_table(self._spans[key])
-            # without coordinates a block's table has one slab
-            slabs += _slabs_meeting(table, a, z) if ranges else table[1]
-        if len(slabs) < 2:
-            return slabs[0] if slabs else []
-        # a source box listed on several slabs is tried once
-        return sorted({p for ps in slabs for p in ps})
+        return self._sources.listed(side, state, lo, hi, *(ranges[0] if ranges else self._whole))
 
     def arrows(self, side: int, state: int | None, boxes) -> list[tuple[int, list]]:
         """The edges of one side firing on a walk's boxes from a dialect
@@ -541,23 +544,14 @@ class AlternatingPath:
         return self.composed.apply_mset(self.source)
 
 
-def _source_index(g: GraphingRep):
-    """Where the edges' sources lie: a slab table of the line whose slabs
-    are slab tables of coordinate 1, each slab listing edge numbers."""
-    cuts, slabs = _slab_table([((k, b), b.line.lo, b.line.hi)
-                               for k, e in enumerate(g.edges) for b in e.source.boxes])
-    return cuts, [_slab_table([(k, b.coord(1).lo, b.coord(1).hi) for k, b in slab])
-                  for slab in slabs]
-
-
 class _ExactGraph:
     """The walks of graphings on rational sets, for any maps.
 
     A walk is (node, descriptor, dilation, flag, set), the set a list of
     disjoint boxes in normal form, as are the sets in extra (`extra`).
-    `extend` tries, in edge order, only the edges listed on a line and
-    coordinate-1 slab that meets a box of the set (`_source_index`), on
-    the dialect pair before their source is intersected.  A firing counts
+    `extend` intersects the set, in edge order, only with the sources of
+    the edges that `_Sources` lists for a box's blocks (from floor(lo) to
+    ceil(hi) on the line), coordinate-1 range and state.  A firing counts
     1, so the budget counts arrows fired."""
 
     unit = "fired arrows"
@@ -566,7 +560,10 @@ class _ExactGraph:
     def __init__(self, gs: Sequence[GraphingRep], extra: Sequence[MSet] = ()):
         self.gs = list(gs)
         self.extra = [list(m.boxes) for m in extra]
-        self._index = [_source_index(g) for g in self.gs]
+        # each source box listed as its edge number
+        self._sources = _Sources((side, e.in_state, k, floor(b.line.lo), ceil(b.line.hi),
+                                  b.coord(1).lo, b.coord(1).hi) for side, g in enumerate(self.gs)
+                                 for k, e in enumerate(g.edges) for b in e.source.boxes)
 
     @staticmethod
     def split(boxes, others) -> tuple[list, list]:
@@ -601,16 +598,14 @@ class _ExactGraph:
         hits: set[int] = set()
         for b in boxes:
             c1 = b.coord(1)
-            for inner in _slabs_meeting(self._index[turn], b.line.lo, b.line.hi):
-                for slab in _slabs_meeting(inner, c1.lo, c1.hi):
-                    hits.update(slab)
+            hits.update(self._sources.listed(turn, st[turn][1], floor(b.line.lo),
+                                             ceil(b.line.hi), c1.lo, c1.hi))
         carried = MSet(boxes)
         edges = self.gs[turn].edges
         for k in sorted(hits):
             e = edges[k]
-            now = _chain(st, turn, e)
-            if now is not None and not (piece := carried.intersect(e.source)).is_empty():
-                yield k, ((now, 1 - turn), e.mapd.compose(desc), a * e.weight.a,
+            if not (piece := carried.intersect(e.source)).is_empty():
+                yield k, ((_chain(st, turn, e), 1 - turn), e.mapd.compose(desc), a * e.weight.a,
                           flag | e.weight.flag, list(e.mapd.apply_mset(piece).boxes))
 
     @staticmethod

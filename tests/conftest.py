@@ -218,19 +218,21 @@ def odometer(k, reject_ones=False):
 
 
 @st.composite
-def random_automata(draw, compilable=False):
+def random_automata(draw, compilable=False, heads=(1, 3)):
     """A small automaton with the init start and the two halting states:
-    1-3 heads, 2-5 working states, In and Out moves, steps into accept and
-    reject.  A rule reads one symbol on one head, or anything, and makes
-    one or two moves, so runs branch.  Init has one rule, from the marker
-    into the working states; each working state has one to three, and one
-    working state one more, into reject.  Only a rule that reads a letter
-    may reject, so that verdicts depend on the word.  A compilable one
-    halts only where every head reads the marker, as the compiler asks:
-    its halting moves are kept only there, any rule may reject, and the
-    last rule reads the marker on one head.  It has one or two heads,
-    since the compiled dialect grows by a factor k! 3^k in k heads."""
-    heads = draw(st.integers(1, 2 if compilable else 3))
+    1-3 heads, or heads[0] to heads[1], 2-5 working states, In and Out
+    moves, steps into accept and reject.  A rule reads one symbol on one
+    head, or anything, and makes one or two moves, so runs branch.  Init
+    has one rule, from the marker into the working states; each working
+    state has one to three, and one working state one more, into reject.
+    Only a rule that reads a letter may reject, so that verdicts depend on
+    the word.  A compilable one halts only where every head reads the
+    marker, as the compiler asks: its halting moves are kept only there,
+    any rule may reject, and the last rule reads the marker on one head.
+    The compiled dialect grows by a factor k! 3^k in k heads, and its
+    edges with it, so a test that compiles or extracts many draws may
+    narrow the range."""
+    heads = draw(st.integers(*heads))
     work = [f"q{i}" for i in range(draw(st.integers(2, 5)))]
     letter = st.tuples(st.integers(0, heads - 1), st.sampled_from("01"))
     rule = st.one_of(letter, st.just((0, None)))

@@ -1,6 +1,7 @@
 """Alternating paths, plugging, and the finite cell quotient."""
 
 from collections import Counter
+import math
 from fractions import Fraction
 from itertools import permutations, product
 import random
@@ -554,6 +555,74 @@ def test_arrows_match_the_source_cells():
         _assert_arrows_match_sources(cell_decompose([m.graphing, rep]))
 
 
+def _two_state_pair():
+    """A pair that is not rigid, f of two dialect states, and its cut: f's
+    first edge ends at state 1 and moves [0, 1) to [1, 3/2) in the cut
+    [1, 3) at half scale, g moves that on to [9/4, 11/4), where two edges
+    of f meet it and only the one of in-state 1 chains."""
+    back = TransformationDescriptor(1, Fraction(-9, 4))
+    f = GraphingRep(seg(0, 3), 2, [
+        Edge(seg(0, 1), 0, 1, TransformationDescriptor(Fraction(1, 2), 1), Weight()),
+        Edge(seg("9/4", "11/4"), 1, 0, back, Weight()),
+        Edge(seg("9/4", "11/4"), 0, 1, back, Weight())])
+    return f, GraphingRep(seg(1, 3), 1, [line_edge(1, "3/2", 1, "5/4")]), seg(1, 3)
+
+
+def _assert_sources_list(graph, queries, meets):
+    """For every side, in-state (None too) and query (block lo, block hi,
+    coordinate-1 lo, hi), what the graph's `_Sources` lists against a
+    scan of every (payload, source box): each payload listed once, in
+    order, of the queried in-state, and none missed whose box meets the
+    query on the line and coordinate 1 (`meets`)."""
+    for side, g in enumerate(graph.gs):
+        sources = [(k, e.in_state, src) for k, e in enumerate(g.edges)
+                   for src in (graph._edges[side][k][0] if isinstance(graph, CellGraph)
+                               else e.source.boxes)]
+        for query in queries:
+            near: dict = {}
+            for k, state, src in sources:
+                if meets(src, query):
+                    near.setdefault(state, set()).add((k, src) if isinstance(graph, CellGraph)
+                                                      else k)
+            for state in (*range(g.dialect_size), None):
+                got = graph._sources.listed(side, state, *query)
+                assert got == sorted(set(got)), (side, state, query)
+                want = set().union(*near.values()) if state is None else near.get(state, set())
+                assert want <= set(got), (side, state, query)
+                if state is not None:
+                    edges = [x[0] if isinstance(x, tuple) else x for x in got]
+                    assert all(g.edges[k].in_state == state for k in edges), (side, state, query)
+
+
+def test_sources_list_the_boxes_that_meet_and_chain():
+    m3, par = automaton_to_machine(odometer(3)), automaton_to_machine(parity_automaton())
+    for f, g, cut in ((m3.graphing, representation("01"), DEFAULT_PSI.interface_mset()),
+                      (par.graphing, representation("0110"), DEFAULT_PSI.interface_mset()),
+                      _two_state_pair()):
+        try:
+            cg = cell_decompose([f, g], [cut])
+        except NotCellRigid:
+            assert f is not m3.graphing and f is not par.graphing
+        else:
+            boxes = {b for rules in cg._edges for rule in rules for b in rule[0]}
+            whole = (0, cg.n)
+            _assert_sources_list(
+                cg, [(lo, hi, *(rs[0] if rs else whole)) for lo, hi, rs in boxes],
+                lambda src, q: src[0] < q[1] and q[0] < src[1]
+                and (not src[2] or src[2][0][0] < q[3] and q[2] < src[2][0][1]))
+        exact = _ExactGraph([f, g], [cut])
+        boxes = {b for h in (f, g) for e in h.edges for b in e.source.boxes}
+        _assert_sources_list(
+            exact, [(math.floor(b.line.lo), math.ceil(b.line.hi), b.coord(1).lo, b.coord(1).hi)
+                    for b in boxes],
+            lambda src, q: src.line.lo < q[1] and q[0] < src.line.hi
+            and src.coord(1).lo < q[3] and q[2] < src.coord(1).hi)
+    # end to end: of f's two edges back out of the cut, only one chains
+    f, g, cut = _two_state_pair()
+    assert [(e.source, e.in_state, e.out_state, e.mapd) for e in plug(f, g, cut).edges] == \
+        [(seg(0, 1), 0, 0, TransformationDescriptor(Fraction(1, 2)))]
+
+
 def _count_calls(monkeypatch, owner, name, counts):
     orig = getattr(owner, name)
 
@@ -807,9 +876,7 @@ def test_env_cap_applies(monkeypatch, conveyor, doubler):
         alternating_paths(conveyor, doubler, max_len=10 ** 6)
 
 
-@given(random_automata(compilable=True))
-@settings(max_examples=30, deadline=None, derandomize=True)
-def test_generated_machines_decide_and_plug_alike_on_both_graphs(a):
+def _decide_and_plug_alike(a):
     # runs branch and may come back to one configuration; a plug covers
     # what they reach once on either graph
     m = automaton_to_machine(a)
@@ -820,6 +887,21 @@ def test_generated_machines_decide_and_plug_alike_on_both_graphs(a):
         rep = representation(w)
         found, _truncated = _exact_plug(m.graphing, rep, cut)
         assert equivalent(plug(m.graphing, rep, cut), _composite(m.graphing, rep, cut, found)), w
+
+
+@given(random_automata(compilable=True, heads=(1, 2)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_generated_machines_decide_and_plug_alike_on_both_graphs(a):
+    _decide_and_plug_alike(a)
+
+
+@given(random_automata(compilable=True, heads=(3, 3)))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_generated_3_head_machines_decide_and_plug_alike_on_both_graphs(a):
+    # compiled 3-head machines have thousands of edges; the exact graph
+    # lists only those whose in-state chains, so a draw plugs in well
+    # under a second
+    _decide_and_plug_alike(a)
 
 
 def test_a_run_moving_in_forever_plugs_to_nothing():
