@@ -15,10 +15,13 @@ powers, one sum over the squarefree divisors of rho in closed form.  A
 geometric bound on the tail, which does not depend on the circuits,
 fixes the length once.  One DFS over label sequences, each carrying its
 composed map (as grid integers), weight and the grid boxes its walks are
-at, lists the circuits.  For the sum it walks only the sequences that
-start at their least label, as Johnson's circuit enumeration roots each
-circuit at its least vertex.  That loses nothing: every cell of a closed orbit walks
-every rotation of its circuit, so the least rotation is walked, and
+at, lists the circuits.  For the sum it walks only the prefixes of
+Lyndon words and reads out only the Lyndon words, each the least
+rotation of a primitive circuit: a sequence carries the period of its
+longest Lyndon prefix, and a label below the one that period points back
+to ends it (Fredricksen-Kessler-Maiorana), so no rotation is searched
+and no power tested.  That loses nothing: every cell of a closed orbit
+walks every rotation of its circuit, so the least rotation is walked, and
 rotating a circuit keeps its length, primitivity, state closure and the
 period, measure, dilation and flag of its closed orbits (the conjugate
 maps have one order); a circuit whose least rotation no cell walks has
@@ -271,35 +274,48 @@ def _circuits(cg: CellGraph, max_len: int, budget: int, least: bool = False) -> 
     (`CellGraph.walks`).  The map becomes a descriptor, and the weight a
     Weight, only for the circuits returned.
 
-    With least, only the sequences whose first label is their least are
-    walked: the DFS seeds from side 0, since a circuit alternates sides
-    and labels are (side, k), and extends side 0 only by edges k at
-    least the first label's; side 1's labels pass unfiltered.  Each
-    circuit then comes as its first walked rotation from the least one,
-    which is the least one itself whenever it has a closed orbit, and a
-    circuit no cell walks from a least label is left out."""
+    With least, only the prefixes of Lyndon words are walked, and only
+    the Lyndon words, each circuit's least rotation, are read out; a
+    circuit no cell walks from its least rotation is left out.  Each
+    sequence carries the period p of its longest Lyndon prefix, 1 for a
+    seed, and a label x appended at length n is compared with
+    ref = labels[n - p] (Fredricksen-Kessler-Maiorana): below it the
+    sequence is no prefix of a Lyndon word and is dropped, equal to it
+    keeps p, above it makes p = n + 1.  A sequence is a Lyndon word
+    exactly when p is its length, and a Lyndon word is primitive.  Labels
+    are (side, k), so every side-0 label is below every side-1 one and
+    the DFS seeds from side 0 only."""
     # least canon -> (offset, integer map, dilation, flag, boxes reached)
     # of its first rotation that some cell walks; keeping the walk, node
     # and all, ran half again as many garbage collections per search
     found: dict[tuple, tuple] = {}
     held = 0
-    stack = [(((side, k),), walk) for side, k, walk in cg.seeds() if not least or side == 0]
+    # without least, ref is below every label, so nothing is dropped and p
+    # goes unread
+    stack = [(((side, k),), 1, walk) for side, k, walk in cg.seeds() if not least or side == 0]
     while stack:
-        labels, walk = stack.pop()
+        labels, p, walk = stack.pop()
         node, imap, a, flag, boxes = walk
         held += cell_count(boxes)
         if held > budget:
             raise IterationCapExceeded(
                 f"circuit enumeration exceeded {budget} expansions")
         ((ff, of), (fg, og)), turn = node
+        n = len(labels)
         if (turn == labels[0][0] and of == ff and og == fg
                 and ff is not None and fg is not None):
-            canon, offset = _canonical_rotation(labels)
-            if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
-                found[canon] = (offset, imap, a, flag, boxes)
-        if len(labels) < max_len:
-            low = labels[0][1] if least and turn == 0 else 0
-            stack += [(labels + ((turn, k),), nxt) for k, nxt in cg.extend(walk) if k >= low]
+            if not least:
+                canon, offset = _canonical_rotation(labels)
+                if not _is_power(canon) and (canon not in found or offset < found[canon][0]):
+                    found[canon] = (offset, imap, a, flag, boxes)
+            elif p == n:
+                found[labels] = (0, imap, a, flag, boxes)
+        if n < max_len:
+            ref = labels[n - p] if least else (-1,)
+            for k, nxt in cg.extend(walk):
+                x = (turn, k)
+                if x >= ref:
+                    stack.append((labels + (x,), p if x == ref else n + 1, nxt))
     vol = cg.cell_volume()
     out = []
     # circuits share few weights: each is built once

@@ -137,9 +137,9 @@ def _listed_sum(f, g, max_len) -> Fraction:
 
 
 def test_series_sums_the_closed_orbits_of_every_circuit(monkeypatch):
-    # the series walks only the label sequences that start at their least
-    # label; it must still sum the closed orbits of every circuit that the
-    # full listing gives at the length it certified.  A loose tolerance
+    # the series walks only the label sequences that are prefixes of
+    # Lyndon words; it must still sum the closed orbits of every circuit
+    # that the full listing gives at the length it certified.  A loose tolerance
     # keeps that length at 16 or below
     lengths = _listing_lengths(monkeypatch)
     rng = random.Random(2611)
@@ -204,13 +204,47 @@ def test_series_walks_a_third_of_what_the_listing_walks(monkeypatch):
     assert 3 * walked <= len(calls), (walked, len(calls))
 
 
+def test_series_walks_the_prefixes_of_lyndon_words(monkeypatch):
+    # every cell walks every alternating label sequence of the branching
+    # loops, so the search extends exactly those shorter than the certified
+    # length that are prefixes of a Lyndon word.  Such a prefix stays a
+    # Lyndon word when a label above all others follows it, since a Lyndon
+    # word is below each of its proper suffixes; and a Lyndon word is below
+    # each of its proper rotations
+    lengths = _listing_lengths(monkeypatch)
+    calls = []
+    extend = CellGraph.extend
+    monkeypatch.setattr(CellGraph, "extend",
+                        lambda self, walk: calls.append(walk) or extend(self, walk))
+    f, g = _branching_loops()
+    assert measure_graphings(f, g, mode="series") > 0
+
+    def lyndon(w):
+        return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+    sides = ([(0, 0), (0, 1)], [(1, 0)])
+    prefixes = sum(lyndon(w + ((2, 0),))
+                   for n in range(1, lengths[-1])
+                   for w in product(*[sides[i % 2] for i in range(n)]))
+    assert lengths[-1] == 16 and len(calls) == prefixes == 263, (len(calls), prefixes)
+
+
+def test_series_measures_the_branching_pair_at_an_eighth():
+    # three edges of 1/8 leave one node, so the tail certifies only at
+    # length 32; the search holds 51,126 cells
+    f, g = (reweighted(h, lambda k: Fraction(1, 8))
+            for h in random_rigid_pair(random.Random(1), dialect=1))
+    value = measure_graphings(f, g, mode="series", cap=10**5)
+    ref, tail = ref_series(cell_decompose([f, g]), 6)
+    assert value > 0 and abs(value - ref) <= measurement.DEFAULT_TOL + tail
+
+
 def test_series_budget_counts_the_cells_of_least_rotations():
     # the budget counts the cells of the walks the search holds, which
-    # start at their least label
+    # are the prefixes of Lyndon words
     f, g = _branching_loops()
-    assert measure_graphings(f, g, mode="series", cap=526) > 0
+    assert measure_graphings(f, g, mode="series", cap=334) > 0
     with pytest.raises(IterationCapExceeded):
-        measure_graphings(f, g, mode="series", cap=525)
+        measure_graphings(f, g, mode="series", cap=333)
 
 
 def test_series_needing_more_than_4096_raises_before_enumerating():
